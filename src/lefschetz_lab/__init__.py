@@ -27,6 +27,7 @@ from .ideals import (
     monomials_of_degree,
     parse_ideal,
     socle_profile,
+    standard_monomials,
 )
 from .intlinalg import (
     IntMatrix,

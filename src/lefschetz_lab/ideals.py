@@ -1,5 +1,9 @@
 """Monomials, monomial ideals, Hilbert functions and socles in K[x,y,z].
 
+``standard_monomials`` is the one place where the monomials of a degree are
+filtered by ideal membership; the Hilbert function, the socle and the
+triangular regions are all read off its output.
+
 Everything is exact integer arithmetic on exponent triples.  All values are
 immutable after construction and every function is pure, so the module is safe
 for concurrent use and for parallel maps over ideals or degrees.
@@ -125,8 +129,6 @@ ALL_PERMUTATIONS = tuple(
     for img in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 )
 
-IDENTITY_PERMUTATION = ALL_PERMUTATIONS[0]
-
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Drop every generator that is a multiple of another one."""
@@ -160,10 +162,6 @@ class MonomialIdeal:
         if not self.gens:
             return "0"
         return ", ".join(str(g) for g in self.gens)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
 
     @property
     def is_proper(self) -> bool:
@@ -295,6 +293,12 @@ class HilbertFunction:
 
 
 @functools.lru_cache(maxsize=8192)
+def standard_monomials(ideal: MonomialIdeal, j: int) -> tuple[Monomial, ...]:
+    """The degree-j monomials outside I, in ascending reverse-lexicographic order."""
+    return tuple(m for m in monomials_of_degree(j) if m not in ideal)
+
+
+@functools.lru_cache(maxsize=8192)
 def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertFunction:
     """Hilbert function of R/I: values[j] counts degree-j monomials outside I.
 
@@ -306,11 +310,7 @@ def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertF
         raise ValueError("the unit ideal has no Hilbert function")
     if d_max is None:
         d_max = socle_profile(ideal).socle_degree + 2
-    values = [
-        sum(1 for m in monomials_of_degree(j) if m not in ideal)
-        for j in range(d_max + 1)
-    ]
-    return HilbertFunction(values)
+    return HilbertFunction(len(standard_monomials(ideal, j)) for j in range(d_max + 1))
 
 
 @dataclass(frozen=True)
@@ -326,21 +326,20 @@ class SocleProfile:
 
 @functools.lru_cache(maxsize=8192)
 def socle_profile(ideal: MonomialIdeal) -> SocleProfile:
-    """Exact socle by scanning all monomials up to the regularity bound.
+    """Exact socle by scanning the standard monomials up to the regularity bound.
 
-    A monomial m is in the socle iff m is outside I while x*m, y*m and z*m all
-    lie in I.  The scan bound (sum of the three pure-power exponents) exceeds
+    A standard monomial m is in the socle iff none of x*m, y*m and z*m is
+    standard.  The scan bound (sum of the three pure-power exponents) exceeds
     the regularity, so nothing is missed.
     """
     bound = sum(ideal.pure_powers)
-    socle = [
-        m
-        for j in range(bound + 1)
-        for m in monomials_of_degree(j)
-        if m not in ideal and all(v * m in ideal for v in VARIABLES)
-    ]
-    socle.sort(key=Monomial.revlex_key)
-    degrees = tuple(sorted(m.degree for m in socle))
+    socle = []
+    for j in range(bound + 1):
+        above = frozenset(standard_monomials(ideal, j + 1))
+        socle.extend(
+            m for m in standard_monomials(ideal, j) if all(v * m not in above for v in VARIABLES)
+        )
+    degrees = tuple(m.degree for m in socle)
     return SocleProfile(
         socle_monomials=tuple(socle),
         degrees=degrees,

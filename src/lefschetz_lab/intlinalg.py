@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ExactnessError
-from .ideals import Monomial, VARIABLES, Y
+from .ideals import Monomial, Y
 
 #: Ryser's formula is used for permanents of general integer matrices up to
 #: this size; 0/1 matrices are counted exactly by matching enumeration instead.
@@ -75,10 +75,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.entries), cols=self.rows) if self.entries else IntMatrix(
             [[] for _ in range(self.cols)] if self.cols else [], cols=0
@@ -99,6 +95,40 @@ class IntMatrix:
         return "\n".join(" ".join(str(e).rjust(width) for e in row) for row in self.entries)
 
 
+def _bareiss(matrix: IntMatrix) -> tuple[int, int]:
+    """Fraction-free Bareiss elimination with column skips.
+
+    Returns the rank over the rationals and the last pivot, negated once per
+    row swap.  For a square matrix of full rank that signed pivot is the
+    determinant; with no pivots at all it is 1.
+    """
+    a = matrix.to_lists()
+    rows, cols = matrix.rows, matrix.cols
+    r = 0
+    sign = 1
+    prev = 1
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        pivot = a[r][c]
+        for i in range(r + 1, rows):
+            aic = a[i][c]
+            row_i = a[i]
+            row_r = a[r]
+            for j in range(c + 1, cols):
+                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        r += 1
+        if r == rows:
+            break
+    return r, sign * prev
+
+
 def determinant(matrix: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
@@ -106,31 +136,8 @@ def determinant(matrix: IntMatrix) -> int:
     """
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    a = matrix.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    rank, signed_pivot = _bareiss(matrix)
+    return signed_pivot if rank == matrix.rows else 0
 
 
 def _is_zero_one(matrix: IntMatrix) -> bool:
@@ -178,14 +185,14 @@ def _count_matchings(matrix: IntMatrix) -> int:
     return count()
 
 
-def permanent(matrix: IntMatrix, ryser_cap: int = PERMANENT_RYSER_CAP) -> int:
+def permanent(matrix: IntMatrix) -> int:
     """Exact permanent.
 
     0/1 matrices are handled at any size by exhaustive matching enumeration
     (the permanent of a bi-adjacency matrix is the number of perfect
     matchings).  General integer matrices use Ryser's inclusion-exclusion
-    formula with Gray-code updates, capped at ``ryser_cap`` since the cost is
-    2^n; exceeding the cap raises rather than approximating.
+    formula with Gray-code updates, capped at ``PERMANENT_RYSER_CAP`` since the
+    cost is 2^n; exceeding the cap raises rather than approximating.
     """
     if not matrix.is_square:
         raise ValueError("permanent of a non-square matrix")
@@ -194,8 +201,8 @@ def permanent(matrix: IntMatrix, ryser_cap: int = PERMANENT_RYSER_CAP) -> int:
         return 1
     if _is_zero_one(matrix):
         return _count_matchings(matrix)
-    if n > ryser_cap:
-        raise ValueError(f"permanent size cap exceeded ({n} > {ryser_cap})")
+    if n > PERMANENT_RYSER_CAP:
+        raise ValueError(f"permanent size cap exceeded ({n} > {PERMANENT_RYSER_CAP})")
     # Ryser with Gray-code subset updates: per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij
     row_sums = [0] * n
     total = 0
@@ -221,32 +228,6 @@ def permanent(matrix: IntMatrix, ryser_cap: int = PERMANENT_RYSER_CAP) -> int:
             prod *= s
         total += prod if (n - size) % 2 == 0 else -prod
     return total
-
-
-def _rank_exact(matrix: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free elimination with column skips."""
-    a = matrix.to_lists()
-    rows, cols = matrix.rows, matrix.cols
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, rows):
-            aic = a[i][c]
-            row_i = a[i]
-            row_r = a[r]
-            for j in range(c + 1, cols):
-                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def _rank_mod(matrix: IntMatrix, p: int) -> int:
@@ -289,7 +270,7 @@ def rank_q(matrix: IntMatrix) -> int:
     r = _rank_mod(matrix, _CERT_PRIME)
     if r == bound:
         return r
-    return _rank_exact(matrix)
+    return _bareiss(matrix)[0]
 
 
 def is_probable_prime(n: int) -> bool:
@@ -454,20 +435,19 @@ def biadjacency(region) -> IntMatrix:
 
     Rows are the downward triangles, columns the upward ones, both in
     ascending reverse-lexicographic order of their labels.  Entry (i, j) is 1
-    iff up label j is the down label i times a variable, so each row and each
-    column carries at most three ones.  The transpose is the matrix of
-    multiplication by x+y+z between the two graded pieces.
+    iff up label j is the down label i times a variable, as listed in
+    ``region.adjacency``, so each row and each column carries at most three
+    ones.  The transpose is the matrix of multiplication by x+y+z between the
+    two graded pieces.
     """
-    col_index = {m: j for j, m in enumerate(region.up)}
+    cols = len(region.up)
     entries = []
-    for n in region.down:
-        row = [0] * len(region.up)
-        for v in VARIABLES:
-            j = col_index.get(v * n)
-            if j is not None:
-                row[j] = 1
+    for neighbours in region.adjacency:
+        row = [0] * cols
+        for j in neighbours:
+            row[j] = 1
         entries.append(row)
-    return IntMatrix(entries, cols=len(region.up))
+    return IntMatrix(entries, cols=cols)
 
 
 @dataclass(frozen=True)

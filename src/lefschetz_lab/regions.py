@@ -3,8 +3,12 @@
 The degree-d region of an ideal I has one upward unit triangle per degree
 (d-1) monomial outside I and one downward unit triangle per degree (d-2)
 monomial outside I; a downward triangle n is adjacent to the upward triangles
-x*n, y*n, z*n.  Everything here is label arithmetic on exponents; no
-floating-point geometry exists outside the SVG emitter.
+x*n, y*n, z*n.  ``build_region`` reads both label sets from
+``standard_monomials``, and ``TriangularRegion.adjacency`` is the one map from
+downward triangles to the indices of their upward neighbours; matchings,
+tilings and the bi-adjacency matrix all read it.  Everything here is label
+arithmetic on exponents; no floating-point geometry exists outside the SVG
+emitter.
 
 Each minimal generator g of degree at most d-1 cuts an upward-pointing
 triangular puncture of side d - deg(g) out of the full region.  Two punctures
@@ -28,6 +32,7 @@ from .ideals import (
     VARIABLES,
     Y,
     monomials_of_degree,
+    standard_monomials,
 )
 from .intlinalg import lattice_points
 from .tilings import Tiling
@@ -67,6 +72,16 @@ class TriangularRegion:
     def down_set(self) -> frozenset[Monomial]:
         return frozenset(self.down)
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """For each downward triangle n, the indices in ``up`` of x*n, y*n and
+        z*n, in that order, skipping the absent ones."""
+        up_index = {m: j for j, m in enumerate(self.up)}
+        return tuple(
+            tuple(up_index[v * n] for v in VARIABLES if v * n in up_index)
+            for n in self.down
+        )
+
     @property
     def is_empty(self) -> bool:
         return not self.up and not self.down
@@ -99,11 +114,7 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
     """The degree-d triangular region of R/I."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    return TriangularRegion(
-        d,
-        (m for m in monomials_of_degree(d - 1) if m not in ideal),
-        (n for n in monomials_of_degree(d - 2) if n not in ideal),
-    )
+    return TriangularRegion(d, standard_monomials(ideal, d - 1), standard_monomials(ideal, d - 2))
 
 
 @dataclass(frozen=True)
@@ -282,7 +293,7 @@ class TileabilityResult:
         return self.tileable
 
 
-def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:
+def _hopcroft_karp(adj: tuple[tuple[int, ...], ...], n_right: int) -> tuple[list[int], list[int]]:
     """Maximum matching on a bipartite graph given as left adjacency lists."""
     inf = float("inf")
     match_left = [-1] * len(adj)
@@ -322,14 +333,6 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[list[int], list[
                 augment(i)
 
 
-def _down_adjacency(region: TriangularRegion) -> list[list[int]]:
-    up_index = {m: j for j, m in enumerate(region.up)}
-    return [
-        [up_index[v * n] for v in VARIABLES if v * n in up_index]
-        for n in region.down
-    ]
-
-
 def is_tileable(region: TriangularRegion) -> TileabilityResult:
     """Decide tileability by maximum matching, with a certificate either way.
 
@@ -346,7 +349,7 @@ def is_tileable(region: TriangularRegion) -> TileabilityResult:
         return TileabilityResult(False, None, HallViolator("down", region.down))
     if nu == 0:
         return TileabilityResult(True, Tiling(()), None)
-    adj = _down_adjacency(region)
+    adj = region.adjacency
     match_down, match_up = _hopcroft_karp(adj, nu)
     if all(j != -1 for j in match_down):
         tiling = Tiling({region.down[i]: region.up[j] for i, j in enumerate(match_down)})

@@ -49,9 +49,6 @@ class Tiling:
         ordered = tuple(sorted(pairs, key=lambda p: p[0].revlex_key()))
         object.__setattr__(self, "pairs", ordered)
 
-    def as_dict(self) -> dict[Monomial, Monomial]:
-        return dict(self.pairs)
-
     def up_partner(self) -> dict[Monomial, Monomial]:
         """Map each upward triangle to the downward one it is fused with."""
         return {up: down for down, up in self.pairs}
@@ -95,11 +92,7 @@ def enumerate_tilings(region) -> Iterator[Tiling]:
     if not downs:
         yield Tiling(())
         return
-    up_index = {m: j for j, m in enumerate(ups)}
-    adj = [
-        [up_index[v * n] for v in VARIABLES if v * n in up_index]
-        for n in downs
-    ]
+    adj = region.adjacency
     used = [False] * len(ups)
     choice = [0] * len(downs)
 

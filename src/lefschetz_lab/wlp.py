@@ -13,6 +13,13 @@ For an algebra with the property in characteristic zero, the characteristics
 where it fails are exactly the primes dividing the leading determinantal
 divisors of the decisive matrices; that set is finite and is computed
 exactly, never by scanning a prime range.
+
+``wlp_full_scan``, ``bad_primes`` and ``conjecture_scan`` share one per-degree
+body, ``_degree_matrix``: the degree-d region, its bi-adjacency matrix Z and
+the rank min(rows, cols) that maximal rank requires.  Degrees where one side
+of the region is empty need no branch: their ranks are 0 and their leading
+divisor is 1.  ``_prime_set`` turns leading divisors into bad primes for both
+the ``divisors=True`` scan and ``bad_primes``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InternalCheckError, NotArtinianError, NotTypeTwoError
 from .ideals import (
@@ -32,6 +40,7 @@ from .ideals import (
     socle_profile,
 )
 from .intlinalg import (
+    IntMatrix,
     biadjacency,
     determinantal_divisor,
     factorize,
@@ -40,7 +49,7 @@ from .intlinalg import (
     rank_q,
 )
 from .formulas import macmahon, type_one_odd_minor
-from .regions import Balance, balance, build_region
+from .regions import Balance, TriangularRegion, balance, build_region
 
 METHOD_FULL_SCAN = "full-scan"
 METHOD_PEAK = "peak-shortcut"
@@ -97,6 +106,22 @@ def _scan_range(ideal: MonomialIdeal) -> range:
     return range(1, socle_profile(ideal).socle_degree + 3)
 
 
+def _degree_matrix(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, IntMatrix, int]:
+    """The degree-d region, its bi-adjacency matrix Z, and the rank of Z that
+    maximal rank requires."""
+    region = build_region(ideal, d)
+    z = biadjacency(region)
+    return region, z, min(z.rows, z.cols)
+
+
+def _prime_set(divisors: Iterable[int]) -> tuple[int, ...]:
+    """The sorted primes dividing any of the given positive divisors."""
+    found: set[int] = set()
+    for divisor in divisors:
+        found.update(factorize(divisor))
+    return tuple(sorted(found))
+
+
 def wlp_full_scan(
     ideal: MonomialIdeal,
     primes: tuple[int, ...] = (),
@@ -113,28 +138,13 @@ def wlp_full_scan(
         raise NotArtinianError(f"ideal ({ideal}) is not Artinian")
     reports = []
     for d in _scan_range(ideal):
-        region = build_region(ideal, d)
-        stats = balance(region)
-        required = min(stats.n_up, stats.n_down)
-        if required == 0:
-            z = None
-            rq = 0
-            rmod = {p: 0 for p in primes}
-            divisor = 1 if divisors else None
-        else:
-            z = biadjacency(region)
-            rq = rank_q(z)
-            rmod = {p: rank_mod_p(z, p) for p in primes}
-            divisor = determinantal_divisor(z, required) if divisors else None
-        reports.append(DegreeReport(d, required, rq, rmod, divisor, stats))
+        region, z, required = _degree_matrix(ideal, d)
+        rq = rank_q(z)
+        rmod = {p: rank_mod_p(z, p) for p in primes}
+        divisor = determinantal_divisor(z, required) if divisors else None
+        reports.append(DegreeReport(d, required, rq, rmod, divisor, balance(region)))
     holds = all(r.ok_char0 for r in reports)
-    bad: tuple[int, ...] | None = None
-    if divisors and holds:
-        primes_found: set[int] = set()
-        for r in reports:
-            if r.leading_divisor:
-                primes_found.update(factorize(r.leading_divisor))
-        bad = tuple(sorted(primes_found))
+    bad = _prime_set(r.leading_divisor for r in reports) if divisors and holds else None
     return WlpReport(ideal, tuple(reports), holds, bad, METHOD_FULL_SCAN)
 
 
@@ -210,21 +220,16 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
     """
     shortcut = peak_shortcut(ideal)
     degrees = shortcut.degrees if shortcut else tuple(_scan_range(ideal))
-    found: set[int] = set()
+    divisors = []
     for d in degrees:
-        region = build_region(ideal, d)
-        required = min(len(region.up), len(region.down))
-        if required == 0:
-            continue
-        z = biadjacency(region)
+        _, z, required = _degree_matrix(ideal, d)
         if rank_q(z) < required:
             raise ValueError(
                 "bad primes are undefined: the property already fails in "
                 f"characteristic zero (degree {d})"
             )
-        divisor = determinantal_divisor(z, required)
-        found.update(factorize(divisor))
-    return tuple(sorted(found))
+        divisors.append(determinantal_divisor(z, required))
+    return _prime_set(divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +445,7 @@ def _hadamard_bound(a: int, b: int, c: int) -> PosCharBound:
     return PosCharBound(kind="hadamard", bound=bound, e=e)
 
 
-def type2_poschar_bound(ideal: MonomialIdeal, verify: bool = True) -> PosCharBound:
+def type2_poschar_bound(ideal: MonomialIdeal) -> PosCharBound:
     """Lower bound on good characteristics for a type-2 algebra with the
     property in characteristic zero.
 
@@ -448,8 +453,8 @@ def type2_poschar_bound(ideal: MonomialIdeal, verify: bool = True) -> PosCharBou
     (alpha+b+c)/2} < d < min{a+beta, a+gamma, alpha+beta+c,
     (a+alpha+beta+c)/2} (form 2 only), the linear bound floor((alpha+b+c)/2)
     applies.  Otherwise, and for form 1, the fallback is the Hadamard bound
-    3^e with e = binom(floor((a+b+c)/2)+2, 2)/2.  With ``verify`` the exact
-    bad primes are computed and checked against the returned bound.
+    3^e with e = binom(floor((a+b+c)/2)+2, 2)/2.  The exact bad primes are
+    computed and checked against the returned bound.
     """
     form = classify_type2(ideal)
     holds, _ = type2_char0_verdict(ideal)
@@ -478,12 +483,9 @@ def type2_poschar_bound(ideal: MonomialIdeal, verify: bool = True) -> PosCharBou
             e=hadamard.e,
             note="four-generator form: the linear bound is not claimed",
         )
-    if verify:
-        for p in bad_primes(ideal):
-            if p >= result.bound:
-                raise InternalCheckError(
-                    f"bad prime {p} reaches the claimed bound {result.bound}"
-                )
+    for p in bad_primes(ideal):
+        if p >= result.bound:
+            raise InternalCheckError(f"bad prime {p} reaches the claimed bound {result.bound}")
     return result
 
 
@@ -564,11 +566,7 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
         if not candidates:
             continue
         for d in _scan_range(ideal):
-            region = build_region(ideal, d)
-            required = min(len(region.up), len(region.down))
-            if required == 0:
-                continue
-            z = biadjacency(region)
+            _, z, required = _degree_matrix(ideal, d)
             for p in candidates:
                 if rank_mod_p(z, p) < required:
                     counterexamples.append(ConjectureCounterexample(ideal, p, d))

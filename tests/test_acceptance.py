@@ -259,7 +259,7 @@ def test_criterion_12_positive_characteristic_bounds():
             holds, _ = type2_char0_verdict(ideal)
             if not holds:
                 continue
-            bound = type2_poschar_bound(ideal, verify=False)
+            bound = type2_poschar_bound(ideal)
             assert all(p < bound.bound for p in bad_primes(ideal))
             checked += 1
     assert conjecture_scan(max_exponent=4, prime_cap=13) == []

@@ -15,6 +15,7 @@ from lefschetz_lab import (
     conjecture_scan,
     parse_ideal,
     peak_shortcut,
+    socle_profile,
     type2_char0_verdict,
     type2_condition_range,
     type2_poschar_bound,
@@ -307,3 +308,19 @@ def test_scan_range_exhausts_the_algebra():
         h = hilbert_function(ideal, sp.socle_degree + 4)
         assert h[sp.socle_degree + 1] == 0
         assert h[sp.socle_degree + 2] == 0
+
+
+def test_full_scan_empty_side_degrees():
+    # Degree 1 has no downward triangles and the last degree no upward ones;
+    # both must report a zero required rank, zero ranks and divisor 1.
+    ideal = parse_ideal(EXA)
+    big = 2147483659  # above 2^31: the plain-Python rank path
+    report = wlp_full_scan(ideal, primes=(2, 3, big), divisors=True)
+    first, last = report.degrees[0], report.degrees[-1]
+    assert (first.d, last.d) == (1, socle_profile(ideal).socle_degree + 2)
+    assert (first.region_stats.n_down, last.region_stats.n_up) == (0, 0)
+    for r in (first, last):
+        assert r.required_rank == 0
+        assert r.rank_q == 0
+        assert r.rank_mod == {2: 0, 3: 0, big: 0}
+        assert r.leading_divisor == 1
