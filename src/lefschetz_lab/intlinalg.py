@@ -1,10 +1,16 @@
 """Exact linear algebra over the integers: determinants, permanents, ranks,
 Smith form, and the two matrices attached to a triangular region.
 
-Entries are arbitrary-precision Python ints; nothing here ever rounds.  The
-only use of numpy is a word-size modular elimination that serves as a fast
-full-rank certificate; any rank it cannot certify is recomputed by exact
-fraction-free elimination.
+Entries are arbitrary-precision Python ints; nothing here ever rounds.  Each
+question has one kernel:
+
+* determinants and ranks over Q: fraction-free Bareiss elimination (a rank
+  is first offered to a word-size modular full-rank certificate);
+* ranks over GF(p): one numpy elimination for every prime, on int64 below
+  2^31 and on Python-int object arrays above;
+* invariant factors: diagonalization by gcd steps, then gcd/lcm
+  normalization of the diagonal;
+* permanents: perfect-matching counts of 0/1 matrices.
 
 Row and column order of the region matrices is globally fixed (ascending
 reverse-lexicographic), so determinant signs are reproducible run to run.
@@ -21,10 +27,6 @@ import numpy as np
 
 from .errors import ExactnessError
 from .ideals import Monomial, Y
-
-#: Ryser's formula is used for permanents of general integer matrices up to
-#: this size; 0/1 matrices are counted exactly by matching enumeration instead.
-PERMANENT_RYSER_CAP = 24
 
 _CERT_PRIME = 2147483629  # prime just below 2^31: modular products stay inside int64
 
@@ -140,10 +142,6 @@ def determinant(matrix: IntMatrix) -> int:
     return signed_pivot if rank == matrix.rows else 0
 
 
-def _is_zero_one(matrix: IntMatrix) -> bool:
-    return all(e in (0, 1) for row in matrix.entries for e in row)
-
-
 def _count_matchings(matrix: IntMatrix) -> int:
     """Number of perfect matchings of a square 0/1 matrix.
 
@@ -186,57 +184,31 @@ def _count_matchings(matrix: IntMatrix) -> int:
 
 
 def permanent(matrix: IntMatrix) -> int:
-    """Exact permanent.
+    """Exact permanent of a square 0/1 matrix.
 
-    0/1 matrices are handled at any size by exhaustive matching enumeration
-    (the permanent of a bi-adjacency matrix is the number of perfect
-    matchings).  General integer matrices use Ryser's inclusion-exclusion
-    formula with Gray-code updates, capped at ``PERMANENT_RYSER_CAP`` since the
-    cost is 2^n; exceeding the cap raises rather than approximating.
+    The permanent of a bi-adjacency matrix is the number of perfect matchings
+    of its bipartite graph, counted here by exhaustive matching enumeration
+    at any size.  Any entry other than 0 or 1 raises.
     """
     if not matrix.is_square:
         raise ValueError("permanent of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    if _is_zero_one(matrix):
-        return _count_matchings(matrix)
-    if n > PERMANENT_RYSER_CAP:
-        raise ValueError(f"permanent size cap exceeded ({n} > {PERMANENT_RYSER_CAP})")
-    # Ryser with Gray-code subset updates: per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij
-    row_sums = [0] * n
-    total = 0
-    size = 0
-    gray = 0
-    for g in range(1, 1 << n):
-        new_gray = g ^ (g >> 1)
-        changed_bit = (gray ^ new_gray).bit_length() - 1
-        if new_gray & (1 << changed_bit):
-            size += 1
-            for i in range(n):
-                row_sums[i] += matrix.entries[i][changed_bit]
-        else:
-            size -= 1
-            for i in range(n):
-                row_sums[i] -= matrix.entries[i][changed_bit]
-        gray = new_gray
-        prod = 1
-        for s in row_sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        total += prod if (n - size) % 2 == 0 else -prod
-    return total
+    if any(e not in (0, 1) for row in matrix.entries for e in row):
+        raise ValueError("permanent needs a 0/1 matrix (a bi-adjacency matrix)")
+    return _count_matchings(matrix)
 
 
 def _rank_mod(matrix: IntMatrix, p: int) -> int:
-    """Rank over GF(p) for p < 2^31, by vectorized modular elimination."""
+    """Rank over GF(p) by vectorized modular elimination.
+
+    Below 2^31 every product of two residues fits in int64; larger primes
+    use an object array of Python ints, so no size of p can overflow.
+    """
     rows, cols = matrix.rows, matrix.cols
     if rows == 0 or cols == 0:
         return 0
     # reduce mod p in Python first: entries may exceed int64
-    a = np.array([[e % p for e in row] for row in matrix.entries], dtype=np.int64)
+    dtype = np.int64 if p < 2**31 else object
+    a = np.array([[e % p for e in row] for row in matrix.entries], dtype=dtype)
     r = 0
     for c in range(cols):
         pivot_rows = np.nonzero(a[r:, c])[0]
@@ -302,95 +274,64 @@ def rank_mod_p(matrix: IntMatrix, p: int) -> int:
     """Exact rank over GF(p)."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p < 2**31:
-        return _rank_mod(matrix, p)
-    # arbitrary-size prime fallback, plain Python
-    a = [[e % p for e in row] for row in matrix.entries]
-    rows, cols = matrix.rows, matrix.cols
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = pow(a[r][c], -1, p)
-        for i in range(r + 1, rows):
-            if a[i][c]:
-                f = a[i][c] * inv % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return _rank_mod(matrix, p)
 
 
 def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     """Nonnegative invariant factors s_1 | s_2 | ... of the integer Smith form.
 
-    Classic gcd-pivot reduction: repeatedly move a smallest-magnitude entry to
-    the pivot, clear its row and column by exact division steps, then enforce
-    that the pivot divides the remaining block.  Arbitrary precision, so no
-    overflow is possible.
+    First diagonalize: for each pivot position k, alternately move a
+    smallest nonzero entry of column k to the pivot and clear the column by
+    floor-division row steps, then clear row k by column steps, swapping in
+    its smallest remainder, until row and column k are zero off the pivot.
+    Each swap strictly shrinks the pivot, so this terminates.  The Smith form
+    is unique, so replacing each pair (s_i, s_j), i < j, of the diagonal by
+    (gcd, lcm) then yields the invariant factors.  Arbitrary precision, so
+    no overflow is possible.
     """
     a = matrix.to_lists()
     rows, cols = matrix.rows, matrix.cols
-    factors: list[int] = []
-    k = 0
-    while k < rows and k < cols:
-        # locate a smallest nonzero entry in the remaining block
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    diagonal: list[int] = []
+    for k in range(min(rows, cols)):
+        # rows and columns before k are already zero off the diagonal
+        j0 = next((j for j in range(k, cols) if any(a[i][j] for i in range(k, rows))), None)
+        if j0 is None:
             break
         while True:
-            i0, j0 = best
-            a[k], a[i0] = a[i0], a[k]
             if j0 != k:
-                for row in a:
+                for row in a[k:]:
                     row[k], row[j0] = row[j0], row[k]
-            if a[k][k] < 0:
-                a[k] = [-e for e in a[k]]
-            pivot = a[k][k]
-            dirty = False
-            for i in range(k + 1, rows):
-                q = a[i][k] // pivot
-                if q:
-                    a[i] = [e - q * f for e, f in zip(a[i], a[k])]
-                if a[i][k]:
-                    dirty = True
+            while True:
+                i0 = min((i for i in range(k, rows) if a[i][k]), key=lambda i: abs(a[i][k]))
+                a[k], a[i0] = a[i0], a[k]
+                row_k = a[k]
+                pivot = row_k[k]
+                support = [j for j in range(k, cols) if row_k[j]]
+                dirty = False
+                for row_i in a[k + 1:]:
+                    if row_i[k]:
+                        q = row_i[k] // pivot
+                        for j in support:
+                            row_i[j] -= q * row_k[j]
+                        dirty = dirty or row_i[k] != 0
+                if not dirty:
+                    break
+            # column k is clear below the pivot, so column steps touch row k only
             for j in range(k + 1, cols):
-                q = a[k][j] // pivot
-                if q:
-                    for row in a:
-                        row[j] -= q * row[k]
-                if a[k][j]:
-                    dirty = True
-            if dirty:
-                best = min(
-                    ((i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j] != 0),
-                    key=lambda ij: abs(a[ij[0]][ij[1]]),
-                )
-                continue
-            # pivot row and column are clear; enforce divisibility of the block
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(k + 1, rows)
-                    for j in range(k + 1, cols)
-                    if a[i][j] % pivot != 0
-                ),
-                None,
+                row_k[j] %= pivot
+            j0 = min(
+                (j for j in range(k + 1, cols) if row_k[j]),
+                key=lambda j: abs(row_k[j]),
+                default=None,
             )
-            if offender is None:
+            if j0 is None:
                 break
-            a[k] = [e + f for e, f in zip(a[k], a[offender[0]])]
-            best = (k, k)
-        factors.append(a[k][k])
-        k += 1
-    return tuple(factors)
+        diagonal.append(abs(pivot))
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = math.gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    return tuple(diagonal)
 
 
 def determinantal_divisor(matrix: IntMatrix, r: int) -> int:

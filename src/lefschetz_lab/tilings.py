@@ -36,6 +36,9 @@ from .intlinalg import (
     permanent,
 )
 
+#: ``signed_enumeration`` refuses regions with more tilings than this.
+MAX_TILINGS = 500_000
+
 
 @dataclass(frozen=True)
 class Tiling:
@@ -204,13 +207,13 @@ class EnumerationReport:
     per_z: int
 
 
-def signed_enumeration(region, max_tilings: int = 500_000) -> EnumerationReport:
+def signed_enumeration(region) -> EnumerationReport:
     """Count tilings, both signed sums, both determinants, and the permanent.
 
     The theory forces count = per Z and |sum of either sign| = |det Z| =
     |det N|; a violation is reported as an internal error, never as a result.
-    Regions with more than ``max_tilings`` tilings raise instead of grinding:
-    the cap is a configuration knob, never an approximation.
+    Regions with more than ``MAX_TILINGS`` tilings raise instead of grinding:
+    the cap bounds the work and never turns into an approximation.
     """
     if len(region.up) != len(region.down):
         raise ValueError("signed enumeration needs a balanced region")
@@ -219,8 +222,8 @@ def signed_enumeration(region, max_tilings: int = 500_000) -> EnumerationReport:
     sum_lpsgn = 0
     for tau in enumerate_tilings(region):
         count += 1
-        if count > max_tilings:
-            raise ValueError(f"tiling count cap exceeded (more than {max_tilings})")
+        if count > MAX_TILINGS:
+            raise ValueError(f"tiling count cap exceeded (more than {MAX_TILINGS})")
         sum_msgn += msgn(region, tau)
         sum_lpsgn += lpsgn(region, tau)
     z = biadjacency(region)

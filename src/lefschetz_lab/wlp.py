@@ -223,12 +223,13 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
     divisors = []
     for d in degrees:
         _, z, required = _degree_matrix(ideal, d)
-        if rank_q(z) < required:
+        divisor = determinantal_divisor(z, required)
+        if divisor == 0:  # every required-size minor vanishes: rank over Q is short
             raise ValueError(
                 "bad primes are undefined: the property already fails in "
                 f"characteristic zero (degree {d})"
             )
-        divisors.append(determinantal_divisor(z, required))
+        divisors.append(divisor)
     return _prime_set(divisors)
 
 

@@ -2,9 +2,9 @@
 
 Each oracle deliberately takes a different road than the code under test:
 recursive cofactor expansion instead of fraction-free elimination, explicit
-permutation sums instead of Ryser or matching counts, all-minors gcds instead
-of Smith reduction, and polynomial multiplication instead of triangle
-adjacency.
+permutation sums instead of matching counts, all-minors gcds instead of
+Smith reduction, plain-Python row reduction mod p instead of numpy
+elimination, and polynomial multiplication instead of triangle adjacency.
 """
 
 from __future__ import annotations
@@ -87,6 +87,23 @@ def fraction_rank(matrix: IntMatrix) -> int:
         r += 1
         if r == rows:
             break
+    return r
+
+
+def plain_rank_mod(matrix: IntMatrix, p: int) -> int:
+    """Rank over GF(p) by Gaussian elimination on lists of Python ints."""
+    a = [[e % p for e in row] for row in matrix.entries]
+    r = 0
+    for c in range(matrix.cols):
+        pivot = next((i for i in range(r, matrix.rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], -1, p)
+        for i in range(r + 1, matrix.rows):
+            f = a[i][c] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
     return r
 
 

@@ -75,23 +75,21 @@ def test_permanent_matches_permutation_oracle():
     rng = random.Random(6)
     for n in range(1, 7):
         for _ in range(10):
-            a = rand_matrix(rng, n, n, lo=-2, hi=3)
-            assert permanent(a) == permutation_permanent(a)
-            zo = rand_matrix(rng, n, n, lo=0, hi=1)  # exercises the matching path
+            zo = rand_matrix(rng, n, n, lo=0, hi=1)
             assert permanent(zo) == permutation_permanent(zo)
 
 
 def test_permanent_figure_three_region():
     ideal = parse_ideal("x^7,y^7,z^6,x*y^4*z^2,x^3*y*z^2,x^4*y*z")
     z = biadjacency(build_region(ideal, 8))
-    assert z.rows == z.cols == 25  # beyond the Ryser cap; matching path
+    assert z.rows == z.cols == 25
     assert permanent(z) == 13
 
 
-def test_permanent_cap_applies_to_general_entries():
-    big = IntMatrix([[2] * 25 for _ in range(25)])
-    with pytest.raises(ValueError):
-        permanent(big)
+def test_permanent_rejects_entries_other_than_zero_and_one():
+    for bad in ([[2]], [[1, 0], [-1, 1]], [[2] * 25 for _ in range(25)]):
+        with pytest.raises(ValueError, match="0/1"):
+            permanent(IntMatrix(bad))
 
 
 def test_ranks_match_fraction_oracle():

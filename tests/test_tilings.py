@@ -18,6 +18,7 @@ from lefschetz_lab import (
     tiling_from_path_family,
     to_path_family,
 )
+from lefschetz_lab import tilings
 from _oracles import random_artinian_ideal
 
 FIG3 = "x^7,y^7,z^6,x*y^4*z^2,x^3*y*z^2,x^4*y*z"
@@ -125,11 +126,13 @@ def test_signed_enumeration_needs_balance():
         signed_enumeration(build_region(parse_ideal("x^4,y^4,z^4,x^2z^2"), 5))
 
 
-def test_signed_enumeration_count_cap():
+def test_signed_enumeration_count_cap(monkeypatch):
     hexagon = build_region(parse_ideal("x^4,y^4,z^4"), 6)  # 20 tilings
+    monkeypatch.setattr(tilings, "MAX_TILINGS", 10)
     with pytest.raises(ValueError):
-        signed_enumeration(hexagon, max_tilings=10)
-    assert signed_enumeration(hexagon, max_tilings=20).count == 20
+        signed_enumeration(hexagon)
+    monkeypatch.setattr(tilings, "MAX_TILINGS", 20)
+    assert signed_enumeration(hexagon).count == 20
 
 
 def test_hexagon_family_enumeration():

@@ -112,6 +112,19 @@ def test_bad_primes_undefined_on_char0_failure():
         bad_primes(parse_ideal("x^2,y^4,z^4,xy,xz"))
 
 
+def test_bad_primes_of_complete_intersections_match_closed_form():
+    for a in range(1, 10):
+        for b in range(a, 10):
+            for c in range(b, 10):
+                d = (a + b + c) // 2
+                expected = tuple(
+                    p
+                    for p in range(2, d)
+                    if all(p % q for q in range(2, p)) and not type_one_verdict(a, b, c, p).holds
+                )
+                assert bad_primes(parse_ideal(f"x^{a},y^{b},z^{c}")) == expected, (a, b, c)
+
+
 def test_outside_bad_primes_ranks_stay_maximal():
     ideal = parse_ideal(EXA)
     bad = bad_primes(ideal)
@@ -314,7 +327,7 @@ def test_full_scan_empty_side_degrees():
     # Degree 1 has no downward triangles and the last degree no upward ones;
     # both must report a zero required rank, zero ranks and divisor 1.
     ideal = parse_ideal(EXA)
-    big = 2147483659  # above 2^31: the plain-Python rank path
+    big = 2147483659  # above 2^31: the object-dtype (Python int) rank path
     report = wlp_full_scan(ideal, primes=(2, 3, big), divisors=True)
     first, last = report.degrees[0], report.degrees[-1]
     assert (first.d, last.d) == (1, socle_profile(ideal).socle_degree + 2)
