@@ -10,7 +10,8 @@ question has one kernel:
   2^31 and on Python-int object arrays above;
 * invariant factors: diagonalization by gcd steps, then gcd/lcm
   normalization of the diagonal;
-* permanents: perfect-matching counts of 0/1 matrices.
+* permanents: perfect-matching counts of 0/1 matrices, by a row-by-row
+  dynamic program over the sets of used columns.
 
 Row and column order of the region matrices is globally fixed (ascending
 reverse-lexicographic), so determinant signs are reproducible run to run.
@@ -145,50 +146,48 @@ def determinant(matrix: IntMatrix) -> int:
 def _count_matchings(matrix: IntMatrix) -> int:
     """Number of perfect matchings of a square 0/1 matrix.
 
-    Backtracking over rows, always branching on the unmatched row with the
-    fewest remaining choices; exact and fast for the sparse (at most three
-    ones per line) matrices that come from triangular regions.
+    Rows are matched in order, keeping one count per set (bitmask) of used
+    columns.  A column whose last nonzero row has passed can never be used
+    again, so every set that leaves such a column free is dropped.  The live
+    sets then differ only in the columns spanning the current row, which
+    keeps them few for banded matrices such as region matrices.
     """
-    n = matrix.rows
-    row_adj = [
-        [j for j in range(n) if matrix.entries[i][j]] for i in range(n)
-    ]
-    if any(not adj for adj in row_adj):
+    last = [-1] * matrix.cols
+    row_bits = []
+    for i, row in enumerate(matrix.entries):
+        cols = [j for j, e in enumerate(row) if e]
+        for j in cols:
+            last[j] = i
+        row_bits.append([1 << j for j in cols])
+    if -1 in last:
         return 0
-    used = [False] * n
-    unmatched = set(range(n))
-
-    def count() -> int:
-        if not unmatched:
-            return 1
-        # branch on the tightest row; a row with no free column prunes the branch
-        best_i, best_opts = -1, None
-        for i in unmatched:
-            opts = [j for j in row_adj[i] if not used[j]]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_i, best_opts = i, opts
-                if len(opts) <= 1:
-                    break
-        if not best_opts:
+    closing = [0] * matrix.rows
+    for j, i in enumerate(last):
+        closing[i] |= 1 << j
+    counts = {0: 1}
+    closed = 0
+    for bits, newly_closed in zip(row_bits, closing):
+        closed |= newly_closed
+        step: dict[int, int] = {}
+        for used, ways in counts.items():
+            for bit in bits:
+                if not used & bit:
+                    nxt = used | bit
+                    if nxt & closed == closed:
+                        step[nxt] = step.get(nxt, 0) + ways
+        counts = step
+        if not counts:
             return 0
-        unmatched.remove(best_i)
-        total = 0
-        for j in best_opts:
-            used[j] = True
-            total += count()
-            used[j] = False
-        unmatched.add(best_i)
-        return total
-
-    return count()
+    return sum(counts.values())
 
 
 def permanent(matrix: IntMatrix) -> int:
     """Exact permanent of a square 0/1 matrix.
 
     The permanent of a bi-adjacency matrix is the number of perfect matchings
-    of its bipartite graph, counted here by exhaustive matching enumeration
-    at any size.  Any entry other than 0 or 1 raises.
+    of its bipartite graph, counted here by a row-by-row dynamic program over
+    the sets of used columns, never by enumerating the matchings.  Any entry
+    other than 0 or 1 raises.
     """
     if not matrix.is_square:
         raise ValueError("permanent of a non-square matrix")

@@ -18,12 +18,17 @@ each matched pair (n, v*n) is a lozenge.  Two signs are attached to a tiling:
 The signed sums over all tilings reproduce, up to one global sign, the
 determinants of the bi-adjacency matrix and of the lattice path matrix; those
 equalities are enforced at runtime by ``signed_enumeration`` and extensively
-in the test suite.
+in the test suite.  ``signed_enumeration`` first counts the tilings as the
+permanent and refuses regions over ``MAX_TILINGS`` before visiting any; it
+then computes both signs of each matching on integer indices, from tables
+built once per region, while ``msgn``, ``lpsgn`` and ``to_path_family`` work
+on ``Tiling`` objects and check them against the region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import contains
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
@@ -82,26 +87,26 @@ def _check_is_tiling(region, tiling: Tiling) -> None:
             raise ValueError(f"not a tiling: {down} and {up} are not adjacent")
 
 
-def enumerate_tilings(region) -> Iterator[Tiling]:
-    """All tilings, duplicate-free, in a deterministic stream order.
+def _matchings(region) -> Iterator[list[int]]:
+    """Perfect matchings of a region as lists of up indices, one per down.
 
-    Backtracking always extends the reverse-lex-least uncovered downward
-    triangle and tries its partners in x, y, z order.  Unbalanced regions
-    yield nothing; the empty region has exactly the empty tiling.
+    ``choice[k]`` is the index in ``region.up`` of the partner of
+    ``region.down[k]``.  Backtracking always extends the reverse-lex-least
+    unmatched downward triangle and tries its partners in ``region.adjacency``
+    order (x, y, z).  The same list is yielded each time, updated in place,
+    so a consumer that keeps a matching must copy it.  Unbalanced regions
+    yield nothing; the empty region yields the empty matching once.
     """
-    ups, downs = region.up, region.down
-    if len(ups) != len(downs):
-        return
-    if not downs:
-        yield Tiling(())
+    n = len(region.down)
+    if len(region.up) != n:
         return
     adj = region.adjacency
-    used = [False] * len(ups)
-    choice = [0] * len(downs)
+    used = [False] * n
+    choice = [0] * n
 
-    def extend(i: int) -> Iterator[Tiling]:
-        if i == len(downs):
-            yield Tiling(tuple((downs[k], ups[choice[k]]) for k in range(len(downs))))
+    def extend(i: int) -> Iterator[list[int]]:
+        if i == n:
+            yield choice
             return
         for j in adj[i]:
             if not used[j]:
@@ -111,6 +116,18 @@ def enumerate_tilings(region) -> Iterator[Tiling]:
                 used[j] = False
 
     yield from extend(0)
+
+
+def enumerate_tilings(region) -> Iterator[Tiling]:
+    """All tilings, duplicate-free, in a deterministic stream order.
+
+    Backtracking always extends the reverse-lex-least uncovered downward
+    triangle and tries its partners in x, y, z order.  Unbalanced regions
+    yield nothing; the empty region has exactly the empty tiling.
+    """
+    ups, downs = region.up, region.down
+    for choice in _matchings(region):
+        yield Tiling(tuple(zip(downs, (ups[j] for j in choice))))
 
 
 def _perm_sign(images: list[int]) -> int:
@@ -207,30 +224,65 @@ class EnumerationReport:
     per_z: int
 
 
+def _check_matching(choice: list[int], adjacency) -> None:
+    """A matching must be a permutation of the up indices that pairs every
+    down triangle with one of its neighbours."""
+    n = len(adjacency)
+    if len(choice) != n or len(set(choice)) != n or not all(map(contains, adjacency, choice)):
+        raise InternalCheckError(f"matching search produced a non-tiling: {choice}")
+
+
 def signed_enumeration(region) -> EnumerationReport:
     """Count tilings, both signed sums, both determinants, and the permanent.
 
     The theory forces count = per Z and |sum of either sign| = |det Z| =
     |det N|; a violation is reported as an internal error, never as a result.
-    Regions with more than ``MAX_TILINGS`` tilings raise instead of grinding:
+    The permanent comes first, from its own matching count, and a region with
+    more than ``MAX_TILINGS`` tilings is refused before any tiling is visited:
     the cap bounds the work and never turns into an approximation.
+
+    Signs are computed on indices, from tables built once per region.  The
+    matching sign is the parity of ``choice`` itself, because matchings list
+    partners in down order.  For the path sign, ``y_next[k]`` is the up index
+    of y * down[k], or ``~e`` when that vertex is the E-vertex e; each walk of
+    ``to_path_family`` then steps from up index u to ``y_next[inv[u]]``,
+    where ``inv[u]`` is the down triangle matched with u.
     """
     if len(region.up) != len(region.down):
         raise ValueError("signed enumeration needs a balanced region")
+    z = biadjacency(region)
+    per_z = permanent(z)
+    if per_z > MAX_TILINGS:
+        raise ValueError(f"tiling count cap exceeded ({per_z} tilings, more than {MAX_TILINGS})")
+    n_matrix, pts = lattice_path_matrix(region)
+    adjacency = region.adjacency
+    up_index = {m: j for j, m in enumerate(region.up)}
+    e_index = {label: k for k, (label, _) in enumerate(pts.e_points)}
+    y_next = []
+    for n in region.down:
+        label = Y * n
+        y_next.append(up_index[label] if label in up_index else ~e_index[label])
+    starts = [up_index[label] for label, _ in pts.a_points]
+    inv = [0] * len(region.up)
     count = 0
     sum_msgn = 0
     sum_lpsgn = 0
-    for tau in enumerate_tilings(region):
+    for choice in _matchings(region):
         count += 1
         if count > MAX_TILINGS:
             raise ValueError(f"tiling count cap exceeded (more than {MAX_TILINGS})")
-        sum_msgn += msgn(region, tau)
-        sum_lpsgn += lpsgn(region, tau)
-    z = biadjacency(region)
-    n_matrix, _ = lattice_path_matrix(region)
+        _check_matching(choice, adjacency)
+        for k, j in enumerate(choice):
+            inv[j] = k
+        ends = []
+        for u in starts:
+            while u >= 0:
+                u = y_next[inv[u]]
+            ends.append(~u)
+        sum_msgn += _perm_sign(choice)
+        sum_lpsgn += _perm_sign(ends)
     det_z = determinant(z)
     det_n = determinant(n_matrix)
-    per_z = permanent(z)
     report = EnumerationReport(count, sum_msgn, sum_lpsgn, det_z, det_n, per_z)
     if count != per_z:
         raise InternalCheckError(f"tiling count {count} != permanent {per_z}")

@@ -4,13 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from lefschetz_lab import build_region, enumerate_tilings, parse_ideal
+from lefschetz_lab import build_region, enumerate_tilings, parse_ideal, tilings
 from lefschetz_lab.cli import main
 from lefschetz_lab.render import render_ascii, render_svg_text
 from lefschetz_lab.reports import wlp_report_from_dict, wlp_report_to_dict
@@ -43,6 +46,29 @@ def test_error_messages_name_the_problem():
     assert code == 1 and "Artinian" in err
     code, _, err = run_cli(["count", "x^-1"])
     assert code == 2 and "byte" in err
+
+
+def test_count_refuses_a_huge_region_before_enumerating(monkeypatch):
+    # Mac(6,6,6): about 1.5 * 10^12 tilings, refused from the permanent
+    def no_search(region):
+        raise AssertionError("the matching search must not start")
+
+    monkeypatch.setattr(tilings, "_matchings", no_search)
+    code, _, err = run_cli(["count", "x^12,y^12,z^12", "--d", "18"])
+    assert code == 1 and "cap" in err
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    root = README.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "lefschetz_lab", "count", "x^2,y^2,z^2", "--d", "3"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "tilings: 2" in proc.stdout
 
 
 # -- README examples are golden tests ------------------------------------------

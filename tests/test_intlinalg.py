@@ -14,6 +14,7 @@ from lefschetz_lab import (
     factorize,
     lattice_path_matrix,
     lattice_points,
+    macmahon,
     parse_ideal,
     permanent,
     rank_mod_p,
@@ -84,6 +85,13 @@ def test_permanent_figure_three_region():
     z = biadjacency(build_region(ideal, 8))
     assert z.rows == z.cols == 25
     assert permanent(z) == 13
+
+
+def test_permanent_counts_a_large_hexagon_without_enumerating():
+    # Mac(6,6,6) has about 1.5 * 10^12 tilings: only a matching count that
+    # never visits them one by one can finish here
+    z = biadjacency(build_region(parse_ideal("x^12,y^12,z^12"), 18))
+    assert permanent(z) == macmahon(6, 6, 6)
 
 
 def test_permanent_rejects_entries_other_than_zero_and_one():

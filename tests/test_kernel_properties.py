@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from lefschetz_lab import (
     IntMatrix,
     determinantal_divisor,
+    permanent,
     rank_mod_p,
     smith_invariant_factors,
 )
-from _oracles import all_minors_divisor, plain_rank_mod
+from _oracles import all_minors_divisor, permutation_permanent, plain_rank_mod
 
 # small, word-size-boundary, and far-above-int64 primes
 PRIMES = (2, 3, 2**31 - 1, 2147483659, 2**61 - 1)
@@ -55,6 +56,42 @@ def matrices_mod_p(draw) -> tuple[IntMatrix, int]:
         coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
         rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(a.cols)])
     return IntMatrix(rows, cols=a.cols), p
+
+
+@st.composite
+def zero_one_square_matrices(draw) -> IntMatrix:
+    """Square 0/1 matrices up to 7 x 7: random, dense (ones with a few
+    holes) or a permutation matrix plus a few ones, with up to one row and
+    one column forced to zero."""
+    n = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("random", "dense", "permutation")))
+    cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    if kind == "random":
+        entries = draw(
+            st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    elif kind == "dense":
+        entries = [[1] * n for _ in range(n)]
+        for i, j in draw(st.lists(cells, max_size=n)):
+            entries[i][j] = 0
+    else:
+        perm = draw(st.permutations(range(n)))
+        entries = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+        for i, j in draw(st.lists(cells, max_size=n)):
+            entries[i][j] = 1
+    if n and draw(st.booleans()):
+        entries[draw(st.integers(0, n - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in entries:
+            row[j] = 0
+    return IntMatrix(entries, cols=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=zero_one_square_matrices())
+def test_permanent_matches_permutation_sum(a):
+    assert permanent(a) == permutation_permanent(a)
 
 
 @settings(max_examples=300, deadline=None)

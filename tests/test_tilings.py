@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz_lab import (
     Tiling,
@@ -142,3 +144,20 @@ def test_hexagon_family_enumeration():
         region = build_region(parse_ideal(f"x^{a},y^{b},z^{c}"), d)
         rep = signed_enumeration(region)
         assert rep.count == abs(rep.det_z) == rep.per_z
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
+def test_signed_enumeration_matches_public_signs(seed, extra):
+    # every balanced degree of a random ideal: the index-table signs of
+    # signed_enumeration against msgn and lpsgn on the streamed tilings
+    ideal = random_artinian_ideal(random.Random(seed), 6, extra)
+    for d in range(2, 18):
+        region = build_region(ideal, d)
+        if len(region.up) != len(region.down):
+            continue
+        stream = list(enumerate_tilings(region))
+        rep = signed_enumeration(region)
+        assert rep.count == len(stream)
+        assert rep.sum_msgn == sum(msgn(region, t) for t in stream)
+        assert rep.sum_lpsgn == sum(lpsgn(region, t) for t in stream)
