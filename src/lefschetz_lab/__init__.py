@@ -38,6 +38,7 @@ from .intlinalg import (
     factorize,
     lattice_path_matrix,
     lattice_points,
+    matching_counts,
     permanent,
     rank_mod_p,
     rank_q,
@@ -50,6 +51,7 @@ from .regions import (
     TriangularRegion,
     balance,
     build_region,
+    first_tiling,
     is_tileable,
     maximal_minors,
     merge_touching_punctures,
@@ -75,7 +77,6 @@ from .formulas import (
     ci_nest_enumeration,
     hyperfactorial,
     macmahon,
-    plane_partition_oracle,
     split_binom_det,
     two_mahonian_enumeration,
     type_one_odd_minor,

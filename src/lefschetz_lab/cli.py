@@ -27,7 +27,7 @@ from .formulas import (
 )
 from .ideals import MonomialIdeal, hilbert_function, parse_ideal, socle_profile
 from .intlinalg import factorize, is_probable_prime
-from .regions import balance, build_region
+from .regions import balance, build_region, first_tiling
 from .render import render_ascii, render_svg
 from .reports import (
     SCHEMA,
@@ -36,7 +36,7 @@ from .reports import (
     region_report_to_dict,
     wlp_report_to_dict,
 )
-from .tilings import enumerate_tilings, signed_enumeration
+from .tilings import signed_enumeration
 from .wlp import (
     analyze_wlp,
     bad_primes,
@@ -153,8 +153,7 @@ def _cmd_count(args) -> int:
     report = signed_enumeration(region) if stats.kind == "balanced" else None
     payload = enumeration_report_to_dict(ideal, d, report)
     if args.svg:
-        first = next(enumerate_tilings(region), None)
-        render_svg(region, first, args.svg)
+        render_svg(region, first_tiling(region), args.svg)
     if args.json:
         print(dumps(payload))
         return 0

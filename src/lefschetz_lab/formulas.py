@@ -1,5 +1,5 @@
-"""Closed-form enumerations of lozenge tilings, each with an independent
-brute-force oracle next to it.
+"""Closed-form enumerations of lozenge tilings.  The test suite checks each
+against an independent brute-force count.
 
 All quotients run through exact integer division with a final integrality
 check; a failed check raises instead of truncating, since it can only mean a
@@ -39,42 +39,6 @@ def macmahon(a: int, b: int, c: int) -> int:
     num = h(a) * h(b) * h(c) * h(a + b + c)
     den = h(a + b) * h(a + c) * h(b + c)
     return exact_quotient(num, den)
-
-
-def plane_partition_oracle(a: int, b: int, c: int) -> int:
-    """Count a x b arrays with entries in 0..c that weakly decrease along
-    rows and columns, by direct recursion over rows.
-
-    Independent of the hyperfactorial formula; capped at a*b <= 16 cells.
-    """
-    if min(a, b, c) < 0:
-        raise ValueError("box sides must be nonnegative")
-    if a * b > 16:
-        raise ValueError("oracle cap exceeded: a*b must stay at most 16")
-    if a == 0 or b == 0 or c == 0:
-        return 1
-
-    def rows_below(bound: tuple[int, ...]):
-        # weakly decreasing rows dominated entrywise by `bound`
-        def go(prefix: list[int], i: int):
-            if i == b:
-                yield tuple(prefix)
-                return
-            hi = min(bound[i], prefix[-1]) if prefix else bound[0]
-            for v in range(hi + 1):
-                prefix.append(v)
-                yield from go(prefix, i + 1)
-                prefix.pop()
-
-        yield from go([], 0)
-
-    @functools.lru_cache(maxsize=None)
-    def count(rows_left: int, bound: tuple[int, ...]) -> int:
-        if rows_left == 0:
-            return 1
-        return sum(count(rows_left - 1, row) for row in rows_below(bound))
-
-    return count(a, (c,) * b)
 
 
 @dataclass(frozen=True)

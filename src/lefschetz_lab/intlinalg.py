@@ -10,8 +10,10 @@ question has one kernel:
   2^31 and on Python-int object arrays above;
 * invariant factors: diagonalization by gcd steps, then gcd/lcm
   normalization of the diagonal;
-* permanents: perfect-matching counts of 0/1 matrices, by a row-by-row
-  dynamic program over the sets of used columns.
+* permanents of 0/1 matrices: a row-by-row dynamic program over the sets
+  of used columns, which carries the signed sum of the matchings (the
+  determinant) alongside their count; Bareiss stays the independent check
+  of that signed sum.
 
 Row and column order of the region matrices is globally fixed (ascending
 reverse-lexicographic), so determinant signs are reproducible run to run.
@@ -143,57 +145,77 @@ def determinant(matrix: IntMatrix) -> int:
     return signed_pivot if rank == matrix.rows else 0
 
 
-def _count_matchings(matrix: IntMatrix) -> int:
-    """Number of perfect matchings of a square 0/1 matrix.
-
-    Rows are matched in order, keeping one count per set (bitmask) of used
-    columns.  A column whose last nonzero row has passed can never be used
-    again, so every set that leaves such a column free is dropped.  The live
-    sets then differ only in the columns spanning the current row, which
-    keeps them few for banded matrices such as region matrices.
-    """
-    last = [-1] * matrix.cols
-    row_bits = []
-    for i, row in enumerate(matrix.entries):
-        cols = [j for j, e in enumerate(row) if e]
-        for j in cols:
-            last[j] = i
-        row_bits.append([1 << j for j in cols])
-    if -1 in last:
-        return 0
-    closing = [0] * matrix.rows
-    for j, i in enumerate(last):
-        closing[i] |= 1 << j
-    counts = {0: 1}
-    closed = 0
-    for bits, newly_closed in zip(row_bits, closing):
-        closed |= newly_closed
-        step: dict[int, int] = {}
-        for used, ways in counts.items():
-            for bit in bits:
-                if not used & bit:
-                    nxt = used | bit
-                    if nxt & closed == closed:
-                        step[nxt] = step.get(nxt, 0) + ways
-        counts = step
-        if not counts:
-            return 0
-    return sum(counts.values())
+#: ``matching_counts`` refuses a matrix once its dynamic program would keep
+#: more sets of used columns than this; the sets, not the matchings, bound
+#: its time and memory.
+MAX_LIVE_SETS = 2**15
 
 
-def permanent(matrix: IntMatrix) -> int:
-    """Exact permanent of a square 0/1 matrix.
+def matching_counts(matrix: IntMatrix) -> tuple[int, int]:
+    """Permanent and determinant of a square 0/1 matrix, in one pass.
 
-    The permanent of a bi-adjacency matrix is the number of perfect matchings
-    of its bipartite graph, counted here by a row-by-row dynamic program over
-    the sets of used columns, never by enumerating the matchings.  Any entry
+    Rows are matched in order, keeping per set (bitmask) of used columns the
+    number of partial matchings and their signed sum.  When row i takes
+    column j, the permutation gains one inversion per used column above j,
+    so the sign flips with the parity of those columns.  A column whose last
+    nonzero row has passed can never be used again, so every set that leaves
+    such a column free is dropped.  The live sets then differ only in the
+    columns spanning the current row, which keeps them few for banded
+    matrices such as region matrices; a matrix that needs more than
+    ``MAX_LIVE_SETS`` of them is refused, never approximated.  Any entry
     other than 0 or 1 raises.
     """
     if not matrix.is_square:
         raise ValueError("permanent of a non-square matrix")
     if any(e not in (0, 1) for row in matrix.entries for e in row):
         raise ValueError("permanent needs a 0/1 matrix (a bi-adjacency matrix)")
-    return _count_matchings(matrix)
+    cap = MAX_LIVE_SETS
+    last = [-1] * matrix.cols
+    row_cols = []
+    for i, row in enumerate(matrix.entries):
+        cols = [j for j, e in enumerate(row) if e]
+        for j in cols:
+            last[j] = i
+        row_cols.append([(j, 1 << j) for j in cols])
+    if -1 in last:
+        return 0, 0
+    closing = [0] * matrix.rows
+    for j, i in enumerate(last):
+        closing[i] |= 1 << j
+    live = {0: (1, 1)}
+    closed = 0
+    for cols, newly_closed in zip(row_cols, closing):
+        closed |= newly_closed
+        step: dict[int, tuple[int, int]] = {}
+        for used, (ways, signed) in live.items():
+            for j, bit in cols:
+                if used & bit:
+                    continue
+                nxt = used | bit
+                if nxt & closed != closed:
+                    continue
+                term = -signed if (used >> j).bit_count() & 1 else signed
+                old = step.get(nxt)
+                if old is not None:
+                    step[nxt] = (old[0] + ways, old[1] + term)
+                elif len(step) < cap:
+                    step[nxt] = (ways, term)
+                else:
+                    raise ValueError(f"matching count cap exceeded (more than {cap} live column sets)")
+        live = step
+        if not live:
+            return 0, 0
+    return live[(1 << matrix.cols) - 1]
+
+
+def permanent(matrix: IntMatrix) -> int:
+    """Exact permanent of a square 0/1 matrix.
+
+    The permanent of a bi-adjacency matrix is the number of perfect matchings
+    of its bipartite graph, counted by ``matching_counts``, never by
+    enumerating the matchings.
+    """
+    return matching_counts(matrix)[0]
 
 
 def _rank_mod(matrix: IntMatrix, p: int) -> int:

@@ -371,6 +371,49 @@ def is_tileable(region: TriangularRegion) -> TileabilityResult:
     return TileabilityResult(False, None, violator)
 
 
+def first_tiling(region: TriangularRegion) -> Tiling | None:
+    """The first tiling that ``tilings.enumerate_tilings`` streams, or None.
+
+    Starting from a Hopcroft-Karp matching, down triangle i in turn takes
+    its first partner in ``adjacency[i]`` that the later downs can still be
+    matched around: partner j qualifies when an alternating cycle leads from
+    j back to the current partner of i through up triangles not yet fixed,
+    and that cycle is swapped in (``taker`` maps each up the search reaches
+    to the down that would take it).  Quadratic in the region at worst, but
+    with no search over tilings.
+    """
+    if len(region.up) != len(region.down):
+        return None
+    adj = region.adjacency
+    match_down, match_up = _hopcroft_karp(adj, len(region.up))
+    if -1 in match_down:
+        return None
+    fixed = [False] * len(match_up)
+    for i, partners in enumerate(adj):
+        target = match_down[i]
+        for j in partners:
+            if j == target:
+                break
+            if fixed[j]:
+                continue
+            taker = {j: i}
+            stack = [j]
+            while stack and target not in taker:
+                k = match_up[stack.pop()]
+                for w in adj[k]:
+                    if not fixed[w] and w not in taker:
+                        taker[w] = k
+                        stack.append(w)
+            if target in taker:
+                u, k = target, -1
+                while k != i:
+                    k = taker[u]
+                    match_down[k], match_up[u], u = u, k, match_down[k]
+                break
+        fixed[match_down[i]] = True
+    return Tiling(tuple(zip(region.down, (region.up[j] for j in match_down))))
+
+
 # ---------------------------------------------------------------------------
 # Maximal minors as regions
 # ---------------------------------------------------------------------------

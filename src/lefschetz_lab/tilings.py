@@ -16,19 +16,20 @@ each matched pair (n, v*n) is a lozenge.  Two signs are attached to a tiling:
   and the path sign is the parity of the induced start-to-end permutation.
 
 The signed sums over all tilings reproduce, up to one global sign, the
-determinants of the bi-adjacency matrix and of the lattice path matrix; those
-equalities are enforced at runtime by ``signed_enumeration`` and extensively
-in the test suite.  ``signed_enumeration`` first counts the tilings as the
-permanent and refuses regions over ``MAX_TILINGS`` before visiting any; it
-then computes both signs of each matching on integer indices, from tables
-built once per region, while ``msgn``, ``lpsgn`` and ``to_path_family`` work
-on ``Tiling`` objects and check them against the region.
+determinants of the bi-adjacency matrix and of the lattice path matrix.  On a
+balanced region the product of the two signs is the same for every tiling
+(Cook and Nagel), so ``signed_enumeration`` visits no tiling: one signed
+matching count of the bi-adjacency matrix gives the count and the matching
+sum, and one witness tiling gives the constant that turns it into the path
+sum.  ``enumerate_tilings`` streams every tiling by backtracking and serves
+as the test oracle for that shortcut; ``msgn``, ``lpsgn`` and
+``to_path_family`` work on ``Tiling`` objects and check them against the
+region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import contains
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
@@ -38,11 +39,8 @@ from .intlinalg import (
     determinant,
     lattice_path_matrix,
     lattice_points,
-    permanent,
+    matching_counts,
 )
-
-#: ``signed_enumeration`` refuses regions with more tilings than this.
-MAX_TILINGS = 500_000
 
 
 @dataclass(frozen=True)
@@ -87,26 +85,25 @@ def _check_is_tiling(region, tiling: Tiling) -> None:
             raise ValueError(f"not a tiling: {down} and {up} are not adjacent")
 
 
-def _matchings(region) -> Iterator[list[int]]:
-    """Perfect matchings of a region as lists of up indices, one per down.
+def enumerate_tilings(region) -> Iterator[Tiling]:
+    """All tilings, duplicate-free, in a deterministic stream order.
 
-    ``choice[k]`` is the index in ``region.up`` of the partner of
-    ``region.down[k]``.  Backtracking always extends the reverse-lex-least
-    unmatched downward triangle and tries its partners in ``region.adjacency``
-    order (x, y, z).  The same list is yielded each time, updated in place,
-    so a consumer that keeps a matching must copy it.  Unbalanced regions
-    yield nothing; the empty region yields the empty matching once.
+    Backtracking always extends the reverse-lex-least uncovered downward
+    triangle and tries its partners in ``region.adjacency`` order (x, y, z).
+    Unbalanced regions yield nothing; the empty region has exactly the empty
+    tiling.  The stream visits every tiling, so it is exponential in the
+    region and serves as the oracle for ``signed_enumeration``.
     """
     n = len(region.down)
     if len(region.up) != n:
         return
-    adj = region.adjacency
+    ups, downs, adj = region.up, region.down, region.adjacency
     used = [False] * n
     choice = [0] * n
 
-    def extend(i: int) -> Iterator[list[int]]:
+    def extend(i: int) -> Iterator[Tiling]:
         if i == n:
-            yield choice
+            yield Tiling(tuple(zip(downs, (ups[j] for j in choice))))
             return
         for j in adj[i]:
             if not used[j]:
@@ -116,18 +113,6 @@ def _matchings(region) -> Iterator[list[int]]:
                 used[j] = False
 
     yield from extend(0)
-
-
-def enumerate_tilings(region) -> Iterator[Tiling]:
-    """All tilings, duplicate-free, in a deterministic stream order.
-
-    Backtracking always extends the reverse-lex-least uncovered downward
-    triangle and tries its partners in x, y, z order.  Unbalanced regions
-    yield nothing; the empty region has exactly the empty tiling.
-    """
-    ups, downs = region.up, region.down
-    for choice in _matchings(region):
-        yield Tiling(tuple(zip(downs, (ups[j] for j in choice))))
 
 
 def _perm_sign(images: list[int]) -> int:
@@ -224,72 +209,36 @@ class EnumerationReport:
     per_z: int
 
 
-def _check_matching(choice: list[int], adjacency) -> None:
-    """A matching must be a permutation of the up indices that pairs every
-    down triangle with one of its neighbours."""
-    n = len(adjacency)
-    if len(choice) != n or len(set(choice)) != n or not all(map(contains, adjacency, choice)):
-        raise InternalCheckError(f"matching search produced a non-tiling: {choice}")
-
-
 def signed_enumeration(region) -> EnumerationReport:
     """Count tilings, both signed sums, both determinants, and the permanent.
 
-    The theory forces count = per Z and |sum of either sign| = |det Z| =
-    |det N|; a violation is reported as an internal error, never as a result.
-    The permanent comes first, from its own matching count, and a region with
-    more than ``MAX_TILINGS`` tilings is refused before any tiling is visited:
-    the cap bounds the work and never turns into an approximation.
-
-    Signs are computed on indices, from tables built once per region.  The
-    matching sign is the parity of ``choice`` itself, because matchings list
-    partners in down order.  For the path sign, ``y_next[k]`` is the up index
-    of y * down[k], or ``~e`` when that vertex is the E-vertex e; each walk of
-    ``to_path_family`` then steps from up index u to ``y_next[inv[u]]``,
-    where ``inv[u]`` is the down triangle matched with u.
+    No tiling is visited.  One signed matching count of Z gives per Z, which
+    is the tiling count, and the matching sum.  On a balanced region
+    msgn * lpsgn is the same for every tiling, so the path sum is that
+    constant, read off the witness tiling of ``is_tileable``, times the
+    matching sum.  The matching sum must equal det Z and the path sum must
+    match |det N|, both by Bareiss elimination; per Z must be at least |det Z|
+    and of its parity.  A violation is reported as an internal error, never
+    as a result.  A region whose count needs more than
+    ``intlinalg.MAX_LIVE_SETS`` column sets is refused: the cap bounds the
+    work and never turns into an approximation.
     """
+    from .regions import is_tileable  # regions imports this module
+
     if len(region.up) != len(region.down):
         raise ValueError("signed enumeration needs a balanced region")
     z = biadjacency(region)
-    per_z = permanent(z)
-    if per_z > MAX_TILINGS:
-        raise ValueError(f"tiling count cap exceeded ({per_z} tilings, more than {MAX_TILINGS})")
-    n_matrix, pts = lattice_path_matrix(region)
-    adjacency = region.adjacency
-    up_index = {m: j for j, m in enumerate(region.up)}
-    e_index = {label: k for k, (label, _) in enumerate(pts.e_points)}
-    y_next = []
-    for n in region.down:
-        label = Y * n
-        y_next.append(up_index[label] if label in up_index else ~e_index[label])
-    starts = [up_index[label] for label, _ in pts.a_points]
-    inv = [0] * len(region.up)
-    count = 0
-    sum_msgn = 0
-    sum_lpsgn = 0
-    for choice in _matchings(region):
-        count += 1
-        if count > MAX_TILINGS:
-            raise ValueError(f"tiling count cap exceeded (more than {MAX_TILINGS})")
-        _check_matching(choice, adjacency)
-        for k, j in enumerate(choice):
-            inv[j] = k
-        ends = []
-        for u in starts:
-            while u >= 0:
-                u = y_next[inv[u]]
-            ends.append(~u)
-        sum_msgn += _perm_sign(choice)
-        sum_lpsgn += _perm_sign(ends)
+    per_z, sum_msgn = matching_counts(z)
+    witness = is_tileable(region).tiling
+    sign = 0 if witness is None else msgn(region, witness) * lpsgn(region, witness)
+    sum_lpsgn = sign * sum_msgn
+    n_matrix, _ = lattice_path_matrix(region)
     det_z = determinant(z)
     det_n = determinant(n_matrix)
-    report = EnumerationReport(count, sum_msgn, sum_lpsgn, det_z, det_n, per_z)
-    if count != per_z:
-        raise InternalCheckError(f"tiling count {count} != permanent {per_z}")
-    if abs(sum_msgn) != abs(det_z):
-        raise InternalCheckError(f"|sum msgn| {abs(sum_msgn)} != |det Z| {abs(det_z)}")
+    if sum_msgn != det_z:
+        raise InternalCheckError(f"sum msgn {sum_msgn} != det Z {det_z}")
     if abs(sum_lpsgn) != abs(det_n):
         raise InternalCheckError(f"|sum lpsgn| {abs(sum_lpsgn)} != |det N| {abs(det_n)}")
-    if abs(det_z) != abs(det_n):
-        raise InternalCheckError(f"|det Z| {abs(det_z)} != |det N| {abs(det_n)}")
-    return report
+    if per_z < abs(det_z) or (per_z - det_z) % 2:
+        raise InternalCheckError(f"per Z {per_z} is below |det Z| or of another parity than det Z {det_z}")
+    return EnumerationReport(per_z, sum_msgn, sum_lpsgn, det_z, det_n, per_z)

@@ -4,11 +4,13 @@ Each oracle deliberately takes a different road than the code under test:
 recursive cofactor expansion instead of fraction-free elimination, explicit
 permutation sums instead of matching counts, all-minors gcds instead of
 Smith reduction, plain-Python row reduction mod p instead of numpy
-elimination, and polynomial multiplication instead of triangle adjacency.
+elimination, polynomial multiplication instead of triangle adjacency, and a
+row-by-row plane partition count instead of the box formula.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -120,6 +122,42 @@ def multiplication_matrix(ideal: MonomialIdeal, d: int) -> IntMatrix:
             if prod in index:
                 entries[index[prod]][j] += 1
     return IntMatrix(entries, cols=len(source))
+
+
+def plane_partition_oracle(a: int, b: int, c: int) -> int:
+    """Count a x b arrays with entries in 0..c that weakly decrease along
+    rows and columns, by direct recursion over rows.
+
+    Independent of the hyperfactorial formula; capped at a*b <= 16 cells.
+    """
+    if min(a, b, c) < 0:
+        raise ValueError("box sides must be nonnegative")
+    if a * b > 16:
+        raise ValueError("oracle cap exceeded: a*b must stay at most 16")
+    if a == 0 or b == 0 or c == 0:
+        return 1
+
+    def rows_below(bound: tuple[int, ...]):
+        # weakly decreasing rows dominated entrywise by `bound`
+        def go(prefix: list[int], i: int):
+            if i == b:
+                yield tuple(prefix)
+                return
+            hi = min(bound[i], prefix[-1]) if prefix else bound[0]
+            for v in range(hi + 1):
+                prefix.append(v)
+                yield from go(prefix, i + 1)
+                prefix.pop()
+
+        yield from go([], 0)
+
+    @functools.lru_cache(maxsize=None)
+    def count(rows_left: int, bound: tuple[int, ...]) -> int:
+        if rows_left == 0:
+            return 1
+        return sum(count(rows_left - 1, row) for row in rows_below(bound))
+
+    return count(a, (c,) * b)
 
 
 def random_artinian_ideal(rng: random.Random, max_power: int, extra: int = 3) -> MonomialIdeal:

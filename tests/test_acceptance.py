@@ -33,7 +33,6 @@ from lefschetz_lab import (
     parse_ideal,
     peak_shortcut,
     permanent,
-    plane_partition_oracle,
     puncture_analysis,
     rank_q,
     restricted_maximal_minors,
@@ -51,7 +50,7 @@ from lefschetz_lab import (
 from lefschetz_lab.formulas import split_binom_matrix
 from lefschetz_lab.ideals import ALL_PERMUTATIONS
 from lefschetz_lab.wlp import enumerate_type2_ideals
-from _oracles import multiplication_matrix, random_artinian_ideal
+from _oracles import multiplication_matrix, plane_partition_oracle, random_artinian_ideal
 
 
 def _passed(n: int, text: str) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lefschetz_lab import build_region, enumerate_tilings, parse_ideal, tilings
+from lefschetz_lab import build_region, enumerate_tilings, macmahon, parse_ideal, tilings
 from lefschetz_lab.cli import main
 from lefschetz_lab.render import render_ascii, render_svg_text
 from lefschetz_lab.reports import wlp_report_from_dict, wlp_report_to_dict
@@ -49,13 +49,26 @@ def test_error_messages_name_the_problem():
 
 
 def test_count_refuses_a_huge_region_before_enumerating(monkeypatch):
-    # Mac(6,6,6): about 1.5 * 10^12 tilings, refused from the permanent
+    # Mac(10,10,10): its signed matching count outgrows the live-set cap
     def no_search(region):
-        raise AssertionError("the matching search must not start")
+        raise AssertionError("the tiling stream must not start")
 
-    monkeypatch.setattr(tilings, "_matchings", no_search)
-    code, _, err = run_cli(["count", "x^12,y^12,z^12", "--d", "18"])
+    monkeypatch.setattr(tilings, "enumerate_tilings", no_search)
+    code, _, err = run_cli(["count", "x^20,y^20,z^20", "--d", "30"])
     assert code == 1 and "cap" in err
+
+
+def test_count_answers_without_visiting_tilings():
+    # the backtracking stream hits dead ends here and takes tens of seconds
+    code, out, _ = run_cli(["count", "x^11,y^5,z^14", "--d", "15", "--json"])
+    payload = json.loads(out)
+    assert code == 0
+    assert [payload[k] for k in ("count", "sum_msgn", "sum_lpsgn", "per_Z")] == [1001] * 4
+
+
+def test_count_answers_a_large_hexagon():
+    code, out, _ = run_cli(["count", "x^12,y^12,z^12", "--d", "18", "--json"])
+    assert code == 0 and json.loads(out)["count"] == macmahon(6, 6, 6) == 1_478_619_421_136
 
 
 def test_module_entry_point_runs_from_a_checkout():

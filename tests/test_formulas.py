@@ -17,13 +17,13 @@ from lefschetz_lab import (
     macmahon,
     parse_ideal,
     permanent,
-    plane_partition_oracle,
     split_binom_det,
     two_mahonian_enumeration,
     type_one_odd_minor,
     type_one_odd_minor_simplified,
 )
 from lefschetz_lab.formulas import split_binom_matrix
+from _oracles import plane_partition_oracle
 
 
 def test_hyperfactorial_values():

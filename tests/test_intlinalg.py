@@ -184,7 +184,7 @@ def test_factorize():
 
 
 def test_factorize_box_count():
-    from lefschetz_lab import plane_partition_oracle
+    from _oracles import plane_partition_oracle
 
     assert factorize(plane_partition_oracle(2, 2, 2)) == {2: 2, 5: 1}
 

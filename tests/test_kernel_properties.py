@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 from lefschetz_lab import (
     IntMatrix,
     determinantal_divisor,
+    matching_counts,
     permanent,
     rank_mod_p,
     smith_invariant_factors,
 )
-from _oracles import all_minors_divisor, permutation_permanent, plain_rank_mod
+from _oracles import (
+    all_minors_divisor,
+    cofactor_determinant,
+    permutation_permanent,
+    plain_rank_mod,
+)
 
 # small, word-size-boundary, and far-above-int64 primes
 PRIMES = (2, 3, 2**31 - 1, 2147483659, 2**61 - 1)
@@ -92,6 +98,7 @@ def zero_one_square_matrices(draw) -> IntMatrix:
 @given(a=zero_one_square_matrices())
 def test_permanent_matches_permutation_sum(a):
     assert permanent(a) == permutation_permanent(a)
+    assert matching_counts(a)[1] == cofactor_determinant(a)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefschetz_lab import (
@@ -12,6 +12,7 @@ from lefschetz_lab import (
     build_region,
     determinant,
     enumerate_tilings,
+    first_tiling,
     lpsgn,
     msgn,
     parse_ideal,
@@ -20,7 +21,7 @@ from lefschetz_lab import (
     tiling_from_path_family,
     to_path_family,
 )
-from lefschetz_lab import tilings
+from lefschetz_lab import intlinalg
 from _oracles import random_artinian_ideal
 
 FIG3 = "x^7,y^7,z^6,x*y^4*z^2,x^3*y*z^2,x^4*y*z"
@@ -130,10 +131,11 @@ def test_signed_enumeration_needs_balance():
 
 def test_signed_enumeration_count_cap(monkeypatch):
     hexagon = build_region(parse_ideal("x^4,y^4,z^4"), 6)  # 20 tilings
-    monkeypatch.setattr(tilings, "MAX_TILINGS", 10)
-    with pytest.raises(ValueError):
+    # its signed matching count keeps at most 6 live column sets at once
+    monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 5)
+    with pytest.raises(ValueError, match="cap"):
         signed_enumeration(hexagon)
-    monkeypatch.setattr(tilings, "MAX_TILINGS", 20)
+    monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 6)
     assert signed_enumeration(hexagon).count == 20
 
 
@@ -161,3 +163,15 @@ def test_signed_enumeration_matches_public_signs(seed, extra):
         assert rep.count == len(stream)
         assert rep.sum_msgn == sum(msgn(region, t) for t in stream)
         assert rep.sum_lpsgn == sum(lpsgn(region, t) for t in stream)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
+@example(seed=1202, extra=2)  # x^3,y^4,z^4,x^2yz at d = 5: the is_tileable witness differs
+def test_first_tiling_is_the_first_streamed_tiling(seed, extra):
+    # count --svg draws first_tiling; its picture matches the first tiling
+    # of the stream only if the two agree
+    ideal = random_artinian_ideal(random.Random(seed), 7, extra)
+    for d in range(2, 13):
+        region = build_region(ideal, d)
+        assert first_tiling(region) == next(enumerate_tilings(region), None)
