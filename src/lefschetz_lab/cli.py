@@ -62,6 +62,13 @@ def _prime_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _scan_cap(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{value} is below 2, so nothing would be scanned")
+    return value
+
+
 def _default_degree(ideal: MonomialIdeal) -> int:
     """First decisive degree: the peak-shortcut degree when one exists, else
     the degree with the largest required rank."""
@@ -387,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal")
 
     p = add("scan", _cmd_scan, "search for conjecture counterexamples")
-    p.add_argument("--max-exponent", type=int, default=4)
-    p.add_argument("--prime-cap", type=int, default=13)
+    p.add_argument("--max-exponent", type=_scan_cap, default=4)
+    p.add_argument("--prime-cap", type=_scan_cap, default=13)
 
     p = add("formula", _cmd_formula, "evaluate a closed-form enumeration")
     fsub = p.add_subparsers(dest="formula", required=True)

@@ -1,8 +1,13 @@
 """Monomials, monomial ideals, Hilbert functions and socles in K[x,y,z].
 
-``standard_monomials`` is the one place where the monomials of a degree are
-filtered by ideal membership; the Hilbert function, the socle and the
-triangular regions are all read off its output.
+An ideal's graded pieces are read off its staircase, the height function
+H(i, k) = min{g.ez : g.ex <= i, g.ey <= k} over the generators g (infinite
+where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
+``standard_monomials`` emits each degree straight from that table and
+``socle_profile`` reads the socle off its corners, so neither tests a
+monomial against the generators; the Hilbert function and the triangular
+regions are read off ``standard_monomials``.  ``MonomialIdeal.__contains__``
+remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are
 immutable after construction and every function is pure, so the module is safe
@@ -18,6 +23,8 @@ of the exponent difference is negative.  In degree 3 the descending chain is
 from __future__ import annotations
 
 import functools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -292,10 +299,81 @@ class HilbertFunction:
         return iter(self.values)
 
 
+@dataclass(frozen=True)
+class _Staircase:
+    """The height function H of a monomial ideal, stored per cell.
+
+    H is constant on the cells cut by the generators' distinct x-exponents
+    ``xs`` and y-exponents ``ys`` (both starting at 0): ``heights[a][b]`` is
+    H on xs[a] <= i < xs[a+1], ys[b] <= k < ys[b+1], the last row and column
+    reaching to infinity, so the table has at most (generators + 1)^2 cells
+    whatever the exponents.  ``bands[n]`` describes the slice z^e for every
+    e with exactly n finite heights at most e: the runs (lo, hi, width) of x
+    exponents lo <= i < hi whose monomials x^i y^k z^e lie outside I exactly
+    for k < width, in ascending i.  No monomial outside I has its z exponent
+    at or above ``top``.
+    """
+
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+    heights: tuple[tuple[float, ...], ...]
+    levels: tuple[int, ...]
+    bands: tuple[tuple[tuple[int, float, float], ...], ...]
+    top: float
+
+
+@functools.lru_cache(maxsize=8192)
+def _staircase(ideal: MonomialIdeal) -> _Staircase:
+    xs = sorted({0, *(g.ex for g in ideal.gens)})
+    ys = sorted({0, *(g.ey for g in ideal.gens)})
+    x_at = {e: a for a, e in enumerate(xs)}
+    y_at = {e: b for b, e in enumerate(ys)}
+    heights = [[math.inf] * len(ys) for _ in xs]
+    for g in ideal.gens:
+        a, b = x_at[g.ex], y_at[g.ey]
+        heights[a][b] = min(heights[a][b], g.ez)
+    for a, row in enumerate(heights):
+        for b in range(len(ys)):
+            row[b] = min(row[b], heights[a - 1][b] if a else math.inf, row[b - 1] if b else math.inf)
+    levels = sorted({h for row in heights for h in row if h != math.inf})
+    bands = []
+    for n in range(len(levels) + 1):
+        threshold = levels[n - 1] if n else -1
+        runs = []
+        for a, row in enumerate(heights):
+            width = next((ys[b] for b, h in enumerate(row) if h <= threshold), math.inf)
+            if width == 0:  # H is nonincreasing in i: the later runs are empty too
+                break
+            runs.append((xs[a], xs[a + 1] if a + 1 < len(xs) else math.inf, width))
+        bands.append(tuple(runs))
+    return _Staircase(
+        xs=tuple(xs),
+        ys=tuple(ys),
+        heights=tuple(map(tuple, heights)),
+        levels=tuple(levels),
+        bands=tuple(bands),
+        top=levels[-1] if not bands[-1] else math.inf,
+    )
+
+
 @functools.lru_cache(maxsize=8192)
 def standard_monomials(ideal: MonomialIdeal, j: int) -> tuple[Monomial, ...]:
-    """The degree-j monomials outside I, in ascending reverse-lexicographic order."""
-    return tuple(m for m in monomials_of_degree(j) if m not in ideal)
+    """The degree-j monomials outside I, in ascending reverse-lexicographic order.
+
+    Ascending revlex runs through the z exponent downwards and, at each, the
+    x exponent upwards; every run of the staircase slice at that z exponent
+    contributes one interval of x exponents, so the work is proportional to
+    the output plus the slices visited.
+    """
+    if j < 0:
+        return ()
+    stair = _staircase(ideal)
+    out = []
+    for ez in range(min(j, stair.top - 1), -1, -1):
+        s = j - ez
+        for lo, hi, width in stair.bands[bisect_right(stair.levels, ez)]:
+            out.extend(Monomial(ex, s - ex, ez) for ex in range(max(lo, s - width + 1), min(hi, s + 1)))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -326,19 +404,26 @@ class SocleProfile:
 
 @functools.lru_cache(maxsize=8192)
 def socle_profile(ideal: MonomialIdeal) -> SocleProfile:
-    """Exact socle by scanning the standard monomials up to the regularity bound.
+    """Exact socle, read off the corners of the staircase.
 
-    A standard monomial m is in the socle iff none of x*m, y*m and z*m is
-    standard.  The scan bound (sum of the three pure-power exponents) exceeds
-    the regularity, so nothing is missed.
+    A monomial m = x^i y^k z^e outside I is in the socle iff x*m, y*m and
+    z*m all lie in I, that is e = H(i, k) - 1 with H(i+1, k) < H(i, k) and
+    H(i, k+1) < H(i, k).  H only drops where a cell ends, so each socle
+    monomial sits at the last (i, k) of a cell whose right and upper
+    neighbours are both lower.  Ordered by degree, then ascending revlex.
     """
-    bound = sum(ideal.pure_powers)
-    socle = []
-    for j in range(bound + 1):
-        above = frozenset(standard_monomials(ideal, j + 1))
-        socle.extend(
-            m for m in standard_monomials(ideal, j) if all(v * m not in above for v in VARIABLES)
-        )
+    ideal.pure_powers  # raises NotArtinianError; an Artinian staircase is finite
+    stair = _staircase(ideal)
+    h = stair.heights
+    socle = sorted(
+        (
+            Monomial(stair.xs[a + 1] - 1, stair.ys[b + 1] - 1, h[a][b] - 1)
+            for a in range(len(stair.xs) - 1)
+            for b in range(len(stair.ys) - 1)
+            if h[a + 1][b] < h[a][b] > h[a][b + 1]
+        ),
+        key=Monomial.revlex_key,
+    )
     degrees = tuple(m.degree for m in socle)
     return SocleProfile(
         socle_monomials=tuple(socle),

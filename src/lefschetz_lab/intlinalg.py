@@ -5,7 +5,9 @@ Entries are arbitrary-precision Python ints; nothing here ever rounds.  Each
 question has one kernel:
 
 * determinants and ranks over Q: fraction-free Bareiss elimination (a rank
-  is first offered to a word-size modular full-rank certificate);
+  is first offered to a word-size modular full-rank certificate), whose
+  last pivot is a nonzero maximal minor: the primes it leaves undivided
+  keep the rank over Q;
 * ranks over GF(p): one numpy elimination for every prime, on int64 below
   2^31 and on Python-int object arrays above;
 * invariant factors: diagonalization by gcd steps, then gcd/lcm
@@ -100,12 +102,14 @@ class IntMatrix:
         return "\n".join(" ".join(str(e).rjust(width) for e in row) for row in self.entries)
 
 
-def _bareiss(matrix: IntMatrix) -> tuple[int, int]:
+def bareiss(matrix: IntMatrix) -> tuple[int, int]:
     """Fraction-free Bareiss elimination with column skips.
 
-    Returns the rank over the rationals and the last pivot, negated once per
-    row swap.  For a square matrix of full rank that signed pivot is the
-    determinant; with no pivots at all it is 1.
+    Returns the rank r over the rationals and the last pivot, negated once
+    per row swap.  That pivot is the r x r minor on the pivot rows and
+    columns, so it is never 0 (with no pivots at all it is 1), and every
+    prime p not dividing it has rank over GF(p) equal to r.  For a square
+    matrix of full rank the signed pivot is the determinant.
     """
     a = matrix.to_lists()
     rows, cols = matrix.rows, matrix.cols
@@ -141,7 +145,7 @@ def determinant(matrix: IntMatrix) -> int:
     """
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
-    rank, signed_pivot = _bareiss(matrix)
+    rank, signed_pivot = bareiss(matrix)
     return signed_pivot if rank == matrix.rows else 0
 
 
@@ -263,7 +267,7 @@ def rank_q(matrix: IntMatrix) -> int:
     r = _rank_mod(matrix, _CERT_PRIME)
     if r == bound:
         return r
-    return _bareiss(matrix)[0]
+    return bareiss(matrix)[0]
 
 
 def is_probable_prime(n: int) -> bool:

@@ -20,6 +20,12 @@ the rank min(rows, cols) that maximal rank requires.  Degrees where one side
 of the region is empty need no branch: their ranks are 0 and their leading
 divisor is 1.  ``_prime_set`` turns leading divisors into bad primes for both
 the ``divisors=True`` scan and ``bad_primes``.
+
+``conjecture_scan`` needs, per degree, only the candidate primes where Z
+loses rank, and ``_rank_deficient_primes`` answers that with one Bareiss
+elimination: its last pivot M is a nonzero maximal minor, so a prime that
+does not divide M keeps the rank over Q, and only the primes dividing M get
+an elimination mod p.  No divisor is computed.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .ideals import (
 )
 from .intlinalg import (
     IntMatrix,
+    bareiss,
     biadjacency,
     determinantal_divisor,
     factorize,
@@ -550,11 +557,34 @@ def enumerate_type2_ideals(max_exponent: int):
                             )
 
 
+def _rank_deficient_primes(
+    z: IntMatrix, required: int, primes: Iterable[int]
+) -> tuple[int, list[int]]:
+    """The rank of Z over Q, and the primes among ``primes`` (in their
+    order) where the rank of Z over GF(p) is below ``required``.
+
+    One Bareiss elimination gives the rank r over Q and a nonzero r x r
+    minor M.  The rank over GF(p) never exceeds r, and equals it when p does
+    not divide M, so only the primes dividing M are eliminated mod p.  When
+    r itself is short, every prime is.
+    """
+    rank, minor = bareiss(z)
+    if rank < required:
+        return rank, list(primes)
+    return rank, [p for p in primes if minor % p == 0 and rank_mod_p(z, p) < required]
+
+
 def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounterexample]:
     """Search for a type-2 algebra with the property in characteristic zero
     that loses it at some prime p with 2p > a+b+c, up to the given caps.
 
-    An empty list supports the conjecture that no such algebra exists.
+    Each scanned degree costs one Bareiss elimination, whose last pivot, a
+    nonzero maximal minor, certifies full rank at every candidate prime it
+    is not divisible by; only the primes dividing it are eliminated mod p.
+    The elimination also re-checks the characteristic-zero verdict that
+    admitted the ideal: a degree of short rank over Q raises
+    ``InternalCheckError``.  An empty list supports the conjecture that no
+    such algebra exists.
     """
     counterexamples = []
     primes = _primes_up_to(prime_cap)
@@ -568,9 +598,13 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
             continue
         for d in _scan_range(ideal):
             _, z, required = _degree_matrix(ideal, d)
-            for p in candidates:
-                if rank_mod_p(z, p) < required:
-                    counterexamples.append(ConjectureCounterexample(ideal, p, d))
+            rank, deficient = _rank_deficient_primes(z, required, candidates)
+            if rank < required:
+                raise InternalCheckError(
+                    f"type-2 verdict says ({ideal}) has the property, but degree {d} "
+                    f"has rank {rank} < {required} over Q"
+                )
+            counterexamples.extend(ConjectureCounterexample(ideal, p, d) for p in deficient)
     return counterexamples
 
 

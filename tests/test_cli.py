@@ -48,6 +48,14 @@ def test_error_messages_name_the_problem():
     assert code == 2 and "byte" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-exponent", "--prime-cap"])
+@pytest.mark.parametrize("value", ["-3", "1"])
+def test_scan_refuses_caps_that_scan_nothing(flag, value):
+    code, out, err = run_cli(["scan", flag, value])
+    assert code == 2 and flag in err and "below 2" in err
+    assert out == ""
+
+
 def test_count_refuses_a_huge_region_before_enumerating(monkeypatch):
     # Mac(10,10,10): its signed matching count outgrows the live-set cap
     def no_search(region):

@@ -140,6 +140,13 @@ def test_socle_nonlevel_example():
     assert not sp.is_level
 
 
+def test_socle_of_a_deep_thin_ideal_is_exact():
+    # a socle degree of 401 must not cost a scan through every lower degree
+    sp = socle_profile(parse_ideal("x^400,y^2,z^2"))
+    assert sp.socle_monomials == (m(399, 1, 1),)
+    assert sp.type_ == 1 and sp.socle_degree == 401 and sp.is_level
+
+
 def test_socle_requires_artinian():
     with pytest.raises(NotArtinianError):
         socle_profile(MonomialIdeal((m(2, 0, 0), m(0, 2, 0))))

@@ -3,8 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz_lab import (
+    InternalCheckError,
     Monomial,
     MonomialIdeal,
     NotArtinianError,
@@ -22,7 +25,14 @@ from lefschetz_lab import (
     type_one_verdict,
     wlp_full_scan,
 )
-from lefschetz_lab.wlp import enumerate_type2_ideals
+from lefschetz_lab.intlinalg import bareiss, rank_mod_p
+from lefschetz_lab.wlp import (
+    _degree_matrix,
+    _primes_up_to,
+    _rank_deficient_primes,
+    _scan_range,
+    enumerate_type2_ideals,
+)
 from _oracles import random_artinian_ideal
 
 EXA = "x^4,y^4,z^4,x^2z^2"
@@ -259,6 +269,58 @@ def test_poschar_bound_requires_char0_wlp():
 
 def test_conjecture_scan_small():
     assert conjecture_scan(3, 13) == []
+
+
+PRIMES_TO_31 = _primes_up_to(31)
+
+
+def _deficient_primes_agree_with_modular_ranks(ideal):
+    """Compare the one-minor certificate with a rank mod p at every prime up
+    to 31 and every scanned degree; count the degrees where some prime
+    divides the minor yet keeps the rank, and where some prime drops it."""
+    kept = dropped = 0
+    for d in _scan_range(ideal):
+        _, z, required = _degree_matrix(ideal, d)
+        expected = [p for p in PRIMES_TO_31 if rank_mod_p(z, p) < required]
+        rank, deficient = _rank_deficient_primes(z, required, PRIMES_TO_31)
+        assert deficient == expected, (str(ideal), d)
+        if rank == required:
+            _, minor = bareiss(z)
+            kept += any(minor % p == 0 and p not in expected for p in PRIMES_TO_31)
+            dropped += bool(expected)
+    return kept, dropped
+
+
+def test_rank_certificate_matches_modular_ranks_on_the_type2_grid():
+    # every prime up to 31, including those with 2p <= a+b+c that the scan
+    # skips, so both the "p divides the minor" branch and real drops occur
+    kept = dropped = 0
+    for ideal in enumerate_type2_ideals(4):
+        k, dr = _deficient_primes_agree_with_modular_ranks(ideal)
+        kept, dropped = kept + k, dropped + dr
+    assert kept and dropped
+    # the worked example has bad prime 2, which drops the rank at degree 5
+    _, z, required = _degree_matrix(parse_ideal(EXA), 5)
+    assert _rank_deficient_primes(z, required, (2, 3)) == (required, [2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
+def test_rank_certificate_matches_modular_ranks_on_random_regions(seed, extra):
+    _deficient_primes_agree_with_modular_ranks(random_artinian_ideal(random.Random(seed), 6, extra))
+
+
+def test_conjecture_scan_cross_checks_the_char0_verdict(monkeypatch):
+    # a verdict that admits an ideal failing in characteristic zero must be
+    # caught by the scan's own elimination, not reported as counterexamples
+    from lefschetz_lab import wlp
+
+    failing = parse_ideal("x^2,y^4,z^4,xy,xz")
+    assert not type2_char0_verdict(failing)[0]
+    monkeypatch.setattr(wlp, "enumerate_type2_ideals", lambda cap: iter([failing]))
+    monkeypatch.setattr(wlp, "type2_char0_verdict", lambda ideal: (True, range(0, 0)))
+    with pytest.raises(InternalCheckError, match="rank"):
+        conjecture_scan(4, 13)
 
 
 def test_conjecture_scan_threshold_is_strict():
