@@ -4,14 +4,14 @@ Smith form, and the two matrices attached to a triangular region.
 Entries are arbitrary-precision Python ints; nothing here ever rounds.  Each
 question has one kernel:
 
-* determinants and ranks over Q: fraction-free Bareiss elimination (a rank
-  is first offered to a word-size modular full-rank certificate), whose
-  last pivot is a nonzero maximal minor: the primes it leaves undivided
-  keep the rank over Q;
-* ranks over GF(p): one numpy elimination for every prime, on int64 below
-  2^31 and on Python-int object arrays above;
-* invariant factors: diagonalization by gcd steps, then gcd/lcm
-  normalization of the diagonal;
+* determinants: fraction-free Bareiss elimination, whose last pivot is a
+  nonzero maximal minor: the primes it leaves undivided keep the rank
+  over Q;
+* ranks over Q and GF(p) and determinantal divisors: the integer Smith
+  form s_1 | s_2 | ... | s_r, by diagonalization by gcd steps, then gcd/lcm
+  normalization of the diagonal.  The rank over Q is r, the rank over
+  GF(p) is the number of s_i that p does not divide, and the k-th
+  determinantal divisor is s_1 ... s_k;
 * permanents of 0/1 matrices: a row-by-row dynamic program over the sets
   of used columns, which carries the signed sum of the matchings (the
   determinant) alongside their count; Bareiss stays the independent check
@@ -25,15 +25,12 @@ All contracts downstream are stated on absolute values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ExactnessError
 from .ideals import Monomial, Y
-
-_CERT_PRIME = 2147483629  # prime just below 2^31: modular products stay inside int64
 
 
 def binom(n: int, k: int) -> int:
@@ -60,7 +57,7 @@ class IntMatrix:
     cols: int
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
-        rows_t = tuple(tuple(int(e) for e in row) for row in entries)
+        rows_t = tuple(tuple(operator.index(e) for e in row) for row in entries)
         if rows_t:
             width = len(rows_t[0])
             if any(len(r) != width for r in rows_t):
@@ -222,52 +219,9 @@ def permanent(matrix: IntMatrix) -> int:
     return matching_counts(matrix)[0]
 
 
-def _rank_mod(matrix: IntMatrix, p: int) -> int:
-    """Rank over GF(p) by vectorized modular elimination.
-
-    Below 2^31 every product of two residues fits in int64; larger primes
-    use an object array of Python ints, so no size of p can overflow.
-    """
-    rows, cols = matrix.rows, matrix.cols
-    if rows == 0 or cols == 0:
-        return 0
-    # reduce mod p in Python first: entries may exceed int64
-    dtype = np.int64 if p < 2**31 else object
-    a = np.array([[e % p for e in row] for row in matrix.entries], dtype=dtype)
-    r = 0
-    for c in range(cols):
-        pivot_rows = np.nonzero(a[r:, c])[0]
-        if pivot_rows.size == 0:
-            continue
-        i = r + int(pivot_rows[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        below = a[r + 1:, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            factors = (below[nz] * inv) % p
-            a[r + 1 + nz, c:] = (a[r + 1 + nz, c:] - factors[:, None] * a[r, c:]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def rank_q(matrix: IntMatrix) -> int:
-    """Exact rank over the rationals.
-
-    A single modular elimination certifies full rank (rank mod p never
-    exceeds the rational rank); only matrices that fail the certificate go
-    through exact fraction-free elimination.
-    """
-    bound = min(matrix.rows, matrix.cols)
-    if bound == 0:
-        return 0
-    r = _rank_mod(matrix, _CERT_PRIME)
-    if r == bound:
-        return r
-    return bareiss(matrix)[0]
+    """Exact rank over the rationals: the number of invariant factors."""
+    return len(smith_invariant_factors(matrix))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -296,10 +250,12 @@ def is_probable_prime(n: int) -> bool:
 
 
 def rank_mod_p(matrix: IntMatrix, p: int) -> int:
-    """Exact rank over GF(p)."""
+    """Exact rank over GF(p): the number of invariant factors that p does
+    not divide.  The unimodular transforms to the Smith form stay
+    invertible mod p, so the reduced Smith form has the rank of Z mod p."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _rank_mod(matrix, p)
+    return sum(1 for s in smith_invariant_factors(matrix) if s % p)
 
 
 def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:

@@ -16,10 +16,11 @@ exactly, never by scanning a prime range.
 
 ``wlp_full_scan``, ``bad_primes`` and ``conjecture_scan`` share one per-degree
 body, ``_degree_matrix``: the degree-d region, its bi-adjacency matrix Z and
-the rank min(rows, cols) that maximal rank requires.  Degrees where one side
-of the region is empty need no branch: their ranks are 0 and their leading
-divisor is 1.  ``_prime_set`` turns leading divisors into bad primes for both
-the ``divisors=True`` scan and ``bad_primes``.
+the rank min(rows, cols) that maximal rank requires.  The scan reads every
+rank and leading divisor off one Smith form of Z per degree.  Degrees where
+one side of the region is empty need no branch: their ranks are 0 and their
+leading divisor is 1.  ``_prime_set`` turns leading divisors into bad primes
+for both the ``divisors=True`` scan and ``bad_primes``.
 
 ``conjecture_scan`` needs, per degree, only the candidate primes where Z
 loses rank, and ``_rank_deficient_primes`` answers that with one Bareiss
@@ -53,7 +54,7 @@ from .intlinalg import (
     factorize,
     is_probable_prime,
     rank_mod_p,
-    rank_q,
+    smith_invariant_factors,
 )
 from .formulas import macmahon, type_one_odd_minor
 from .regions import Balance, TriangularRegion, balance, build_region
@@ -137,19 +138,24 @@ def wlp_full_scan(
     """Rank scan over all degrees 1 .. socle degree + 2.
 
     Records required vs actual rank over Q and over each requested prime
-    field.  With ``divisors=True`` it also computes every leading
+    field.  With ``divisors=True`` it also records every leading
     determinantal divisor, which pins the exact bad-prime set directly from
-    the scan data.
+    the scan data.  All of it is read off the invariant factors s_1 | ... |
+    s_r of one Smith form per degree: the rank over Q is r, the rank over
+    GF(p) counts the s_i that p does not divide, and the leading divisor is
+    the product of the first ``required`` factors, 0 when there are fewer.
     """
     if not ideal.is_artinian:
         raise NotArtinianError(f"ideal ({ideal}) is not Artinian")
     reports = []
     for d in _scan_range(ideal):
         region, z, required = _degree_matrix(ideal, d)
-        rq = rank_q(z)
-        rmod = {p: rank_mod_p(z, p) for p in primes}
-        divisor = determinantal_divisor(z, required) if divisors else None
-        reports.append(DegreeReport(d, required, rq, rmod, divisor, balance(region)))
+        factors = smith_invariant_factors(z)
+        rmod = {p: sum(1 for s in factors if s % p) for p in primes}
+        divisor = None
+        if divisors:
+            divisor = math.prod(factors[:required]) if len(factors) >= required else 0
+        reports.append(DegreeReport(d, required, len(factors), rmod, divisor, balance(region)))
     holds = all(r.ok_char0 for r in reports)
     bad = _prime_set(r.leading_divisor for r in reports) if divisors and holds else None
     return WlpReport(ideal, tuple(reports), holds, bad, METHOD_FULL_SCAN)

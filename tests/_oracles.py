@@ -3,9 +3,10 @@
 Each oracle deliberately takes a different road than the code under test:
 recursive cofactor expansion instead of fraction-free elimination, explicit
 permutation sums instead of matching counts, all-minors gcds instead of
-Smith reduction, plain-Python row reduction mod p instead of numpy
-elimination, polynomial multiplication instead of triangle adjacency, and a
-row-by-row plane partition count instead of the box formula.
+Smith reduction, row reduction over fractions and mod p instead of counting
+Smith invariant factors, polynomial multiplication instead of triangle
+adjacency, and a row-by-row plane partition count instead of the box
+formula.
 """
 
 from __future__ import annotations

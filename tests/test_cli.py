@@ -92,6 +92,23 @@ def test_module_entry_point_runs_from_a_checkout():
     assert "tilings: 2" in proc.stdout
 
 
+def test_runs_without_numpy():
+    root = README.parent
+    argv = ["wlp", "x^4,y^4,z^4,x^2*z^2", "--primes", "2,3,5", "--json"]
+    # a None entry in sys.modules makes every import of numpy fail; runpy is
+    # ``python -m`` started after that entry is in place
+    code = "import runpy, sys; sys.modules['numpy'] = None; runpy.run_module('lefschetz_lab', run_name='__main__')"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(argv)[1]
+
+
 # -- README examples are golden tests ------------------------------------------
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +47,16 @@ def test_matrix_shapes_survive():
     assert (empty_rows.transpose().rows, empty_rows.transpose().cols) == (2, 0)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+
+
+def test_matrix_entries_are_never_rounded():
+    # truncating the entries would store [[1, 0], [0, 2]] and report determinant 2
+    for bad in ([[1.5, 0], [0, 2.7]], [[Fraction(7, 2)]]):
+        with pytest.raises(TypeError):
+            IntMatrix(bad)
+    m = IntMatrix([[True, False], [0, 3]])
+    assert m.entries == ((1, 0), (0, 3))
+    assert all(type(e) is int for row in m.entries for e in row)
 
 
 def test_determinant_basics():

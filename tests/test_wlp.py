@@ -25,7 +25,7 @@ from lefschetz_lab import (
     type_one_verdict,
     wlp_full_scan,
 )
-from lefschetz_lab.intlinalg import bareiss, rank_mod_p
+from lefschetz_lab.intlinalg import bareiss
 from lefschetz_lab.wlp import (
     _degree_matrix,
     _primes_up_to,
@@ -33,7 +33,12 @@ from lefschetz_lab.wlp import (
     _scan_range,
     enumerate_type2_ideals,
 )
-from _oracles import random_artinian_ideal
+from _oracles import (
+    fraction_rank,
+    multiplication_matrix,
+    plain_rank_mod,
+    random_artinian_ideal,
+)
 
 EXA = "x^4,y^4,z^4,x^2z^2"
 
@@ -71,6 +76,41 @@ def test_full_scan_divisors_pin_bad_primes():
     assert report.bad_primes == (2,)
     for r in report.degrees:
         assert r.leading_divisor is not None
+
+
+@pytest.mark.parametrize("divisors", [False, True])
+def test_full_scan_runs_one_smith_form_per_degree(monkeypatch, divisors):
+    from lefschetz_lab import intlinalg, wlp
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return intlinalg.smith_invariant_factors(matrix)
+
+    def forbidden(*args):
+        raise AssertionError("the scan ran a second rank or divisor kernel")
+
+    monkeypatch.setattr(wlp, "smith_invariant_factors", counted)
+    for module in (wlp, intlinalg):
+        for name in ("bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    ideal = parse_ideal(EXA)
+    report = wlp_full_scan(ideal, primes=(2, 3, 5), divisors=divisors)
+    assert len(calls) == len(report.degrees) == len(_scan_range(ideal))
+    assert report.bad_primes == ((2,) if divisors else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
+def test_full_scan_ranks_match_independent_oracles(seed, extra):
+    primes = (2, 3, 5, 2147483659)
+    ideal = random_artinian_ideal(random.Random(seed), 6, extra)
+    for r in wlp_full_scan(ideal, primes).degrees:
+        m = multiplication_matrix(ideal, r.d)
+        assert r.rank_q == fraction_rank(m), (str(ideal), r.d)
+        assert r.rank_mod == {p: plain_rank_mod(m, p) for p in primes}, (str(ideal), r.d)
 
 
 # -- peak shortcuts -------------------------------------------------------------
@@ -281,7 +321,7 @@ def _deficient_primes_agree_with_modular_ranks(ideal):
     kept = dropped = 0
     for d in _scan_range(ideal):
         _, z, required = _degree_matrix(ideal, d)
-        expected = [p for p in PRIMES_TO_31 if rank_mod_p(z, p) < required]
+        expected = [p for p in PRIMES_TO_31 if plain_rank_mod(z, p) < required]
         rank, deficient = _rank_deficient_primes(z, required, PRIMES_TO_31)
         assert deficient == expected, (str(ideal), d)
         if rank == required:
@@ -389,7 +429,7 @@ def test_full_scan_empty_side_degrees():
     # Degree 1 has no downward triangles and the last degree no upward ones;
     # both must report a zero required rank, zero ranks and divisor 1.
     ideal = parse_ideal(EXA)
-    big = 2147483659  # above 2^31: the object-dtype (Python int) rank path
+    big = 2147483659  # a prime above 2^31
     report = wlp_full_scan(ideal, primes=(2, 3, big), divisors=True)
     first, last = report.degrees[0], report.degrees[-1]
     assert (first.d, last.d) == (1, socle_profile(ideal).socle_degree + 2)
