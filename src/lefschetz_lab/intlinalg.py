@@ -57,7 +57,7 @@ class IntMatrix:
     cols: int
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
-        rows_t = tuple(tuple(operator.index(e) for e in row) for row in entries)
+        rows_t = tuple(tuple(map(operator.index, row)) for row in entries)
         if rows_t:
             width = len(rows_t[0])
             if any(len(r) != width for r in rows_t):
@@ -266,9 +266,9 @@ def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     floor-division row steps, then clear row k by column steps, swapping in
     its smallest remainder, until row and column k are zero off the pivot.
     Each swap strictly shrinks the pivot, so this terminates.  The Smith form
-    is unique, so replacing each pair (s_i, s_j), i < j, of the diagonal by
-    (gcd, lcm) then yields the invariant factors.  Arbitrary precision, so
-    no overflow is possible.
+    is unique, so replacing each pair (s_i, s_j), i < j, of the non-unit
+    diagonal entries by (gcd, lcm), then putting the units first, yields the
+    invariant factors.  Arbitrary precision, so no overflow is possible.
     """
     a = matrix.to_lists()
     rows, cols = matrix.rows, matrix.cols
@@ -308,11 +308,12 @@ def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
             if j0 is None:
                 break
         diagonal.append(abs(pivot))
-    for i in range(len(diagonal)):
-        for j in range(i + 1, len(diagonal)):
-            g = math.gcd(diagonal[i], diagonal[j])
-            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
-    return tuple(diagonal)
+    rest = [s for s in diagonal if s != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = math.gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return (1,) * (len(diagonal) - len(rest)) + tuple(rest)
 
 
 def determinantal_divisor(matrix: IntMatrix, r: int) -> int:

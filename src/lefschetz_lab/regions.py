@@ -29,7 +29,6 @@ from typing import Iterator
 from .ideals import (
     Monomial,
     MonomialIdeal,
-    VARIABLES,
     Y,
     monomials_of_degree,
     standard_monomials,
@@ -75,12 +74,11 @@ class TriangularRegion:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """For each downward triangle n, the indices in ``up`` of x*n, y*n and
-        z*n, in that order, skipping the absent ones."""
-        up_index = {m: j for j, m in enumerate(self.up)}
-        return tuple(
-            tuple(up_index[v * n] for v in VARIABLES if v * n in up_index)
-            for n in self.down
-        )
+        z*n, in that order, skipping the absent ones.  A ``Monomial`` hashes
+        and compares as its exponent tuple, so plain tuples look it up."""
+        get = {m: j for j, m in enumerate(self.up)}.get
+        found = ((get((x + 1, y, z)), get((x, y + 1, z)), get((x, y, z + 1))) for x, y, z in self.down)
+        return tuple(tuple(j for j in js if j is not None) for js in found)
 
     @property
     def is_empty(self) -> bool:

@@ -16,11 +16,13 @@ exactly, never by scanning a prime range.
 
 ``wlp_full_scan``, ``bad_primes`` and ``conjecture_scan`` share one per-degree
 body, ``_degree_matrix``: the degree-d region, its bi-adjacency matrix Z and
-the rank min(rows, cols) that maximal rank requires.  The scan reads every
-rank and leading divisor off one Smith form of Z per degree.  Degrees where
-one side of the region is empty need no branch: their ranks are 0 and their
-leading divisor is 1.  ``_prime_set`` turns leading divisors into bad primes
-for both the ``divisors=True`` scan and ``bad_primes``.
+the rank min(rows, cols) that maximal rank requires.  Each degree is reduced
+once per run: ``_degree_factors`` caches the invariant factors of one Smith
+form of Z, and the scan and ``bad_primes`` read every rank and leading
+divisor off them.  Degrees where one side of the region is empty need no
+branch: their ranks are 0 and their leading divisor is 1.  ``bad_primes``
+is the one source of bad primes; the all-degree set of the
+``divisors=True`` scan (``--all-primes``) is its runtime check.
 
 ``conjecture_scan`` needs, per degree, only the candidate primes where Z
 loses rank, and ``_rank_deficient_primes`` answers that with one Bareiss
@@ -50,7 +52,6 @@ from .intlinalg import (
     IntMatrix,
     bareiss,
     biadjacency,
-    determinantal_divisor,
     factorize,
     is_probable_prime,
     rank_mod_p,
@@ -122,6 +123,14 @@ def _degree_matrix(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, IntM
     return region, z, min(z.rows, z.cols)
 
 
+@functools.lru_cache(maxsize=4096)
+def _degree_factors(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, int, tuple[int, ...]]:
+    """The degree-d region, the rank that maximal rank requires, and the
+    invariant factors of Z.  Z itself is not kept."""
+    region, z, required = _degree_matrix(ideal, d)
+    return region, required, smith_invariant_factors(z)
+
+
 def _prime_set(divisors: Iterable[int]) -> tuple[int, ...]:
     """The sorted primes dividing any of the given positive divisors."""
     found: set[int] = set()
@@ -143,18 +152,17 @@ def wlp_full_scan(
     the scan data.  All of it is read off the invariant factors s_1 | ... |
     s_r of one Smith form per degree: the rank over Q is r, the rank over
     GF(p) counts the s_i that p does not divide, and the leading divisor is
-    the product of the first ``required`` factors, 0 when there are fewer.
+    the product of the factors when there are ``required`` of them, else 0.
     """
     if not ideal.is_artinian:
         raise NotArtinianError(f"ideal ({ideal}) is not Artinian")
     reports = []
     for d in _scan_range(ideal):
-        region, z, required = _degree_matrix(ideal, d)
-        factors = smith_invariant_factors(z)
+        region, required, factors = _degree_factors(ideal, d)
         rmod = {p: sum(1 for s in factors if s % p) for p in primes}
         divisor = None
         if divisors:
-            divisor = math.prod(factors[:required]) if len(factors) >= required else 0
+            divisor = math.prod(factors) if len(factors) == required else 0
         reports.append(DegreeReport(d, required, len(factors), rmod, divisor, balance(region)))
     holds = all(r.ok_char0 for r in reports)
     bad = _prime_set(r.leading_divisor for r in reports) if divisors and holds else None
@@ -235,14 +243,13 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
     degrees = shortcut.degrees if shortcut else tuple(_scan_range(ideal))
     divisors = []
     for d in degrees:
-        _, z, required = _degree_matrix(ideal, d)
-        divisor = determinantal_divisor(z, required)
-        if divisor == 0:  # every required-size minor vanishes: rank over Q is short
+        _, required, factors = _degree_factors(ideal, d)
+        if len(factors) < required:  # every required-size minor vanishes
             raise ValueError(
                 "bad primes are undefined: the property already fails in "
                 f"characteristic zero (degree {d})"
             )
-        divisors.append(divisor)
+        divisors.append(math.prod(factors))
     return _prime_set(divisors)
 
 
@@ -633,7 +640,8 @@ def analyze_wlp(
 
     The fast path (complete intersection, type-2 classification, or a peak
     shortcut) is recomputed alongside the scan and any disagreement raises:
-    a mismatch would mean a bug, not a result.
+    a mismatch would mean a bug, not a result.  With ``all_primes`` the
+    scan's all-degree bad primes must equal those of ``bad_primes``.
     """
     scan = wlp_full_scan(ideal, tuple(primes), divisors=all_primes)
     method = METHOD_FULL_SCAN
@@ -661,7 +669,7 @@ def analyze_wlp(
             )
             if decisive_ok != scan.holds_char0:
                 raise InternalCheckError("peak shortcut disagrees with the scan")
-    bad = scan.bad_primes
-    if bad is None and scan.holds_char0:
-        bad = bad_primes(ideal)
+    bad = bad_primes(ideal) if scan.holds_char0 else None
+    if scan.bad_primes is not None and scan.bad_primes != bad:
+        raise InternalCheckError(f"bad primes {bad} disagree with the all-degree scan {scan.bad_primes}")
     return WlpReport(ideal, scan.degrees, scan.holds_char0, bad, method)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefschetz_lab import (
@@ -391,6 +391,47 @@ def test_analyze_reports_exact_bad_primes():
     assert report.bad_primes == (2,)
     report = analyze_wlp(parse_ideal("x^2,y^4,z^4,xy,xz"))
     assert report.bad_primes is None  # undefined without the property in char 0
+
+
+@pytest.mark.parametrize("all_primes", [False, True])
+def test_analyze_reduces_each_degree_once(monkeypatch, all_primes):
+    from lefschetz_lab import intlinalg, wlp
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return intlinalg.smith_invariant_factors(matrix)
+
+    def forbidden(*args):
+        raise AssertionError("a degree was reduced a second time")
+
+    monkeypatch.setattr(wlp, "smith_invariant_factors", counted)
+    monkeypatch.setattr(intlinalg, "determinantal_divisor", forbidden)
+    assert not hasattr(wlp, "determinantal_divisor")
+    report = analyze_wlp(parse_ideal(EXA), (2, 3, 5), all_primes=all_primes)
+    assert len(calls) == len(report.degrees)
+    assert report.bad_primes == (2,)
+
+
+def test_all_primes_cross_checks_the_decisive_bad_primes(monkeypatch):
+    from lefschetz_lab import wlp
+
+    monkeypatch.setattr(wlp, "bad_primes", lambda ideal: (3,))
+    assert analyze_wlp(parse_ideal(EXA)).bad_primes == (3,)  # unchecked without the flag
+    with pytest.raises(InternalCheckError):
+        analyze_wlp(parse_ideal(EXA), all_primes=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
+# strict peaks whose bad primes all come from the second decisive degree:
+# x^4,x^3y,y^3,z^3 (3) and xy^5,y^6,x^4,z^4 (2 and 5)
+@example(seed=65, extra=3)
+@example(seed=301, extra=1)
+def test_decisive_bad_primes_equal_the_all_degree_set(seed, extra):
+    ideal = random_artinian_ideal(random.Random(seed), 6, extra)
+    assert analyze_wlp(ideal, all_primes=True).bad_primes == analyze_wlp(ideal).bad_primes
 
 
 def test_scan_monotonicity_of_surjectivity_and_injectivity():
