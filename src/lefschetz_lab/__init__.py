@@ -42,6 +42,7 @@ from .intlinalg import (
     permanent,
     rank_mod_p,
     rank_q,
+    region_invariant_factors,
     smith_invariant_factors,
 )
 from .regions import (

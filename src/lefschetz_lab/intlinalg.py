@@ -8,10 +8,13 @@ question has one kernel:
   nonzero maximal minor: the primes it leaves undivided keep the rank
   over Q;
 * ranks over Q and GF(p) and determinantal divisors: the integer Smith
-  form s_1 | s_2 | ... | s_r, by diagonalization by gcd steps, then gcd/lcm
-  normalization of the diagonal.  The rank over Q is r, the rank over
-  GF(p) is the number of s_i that p does not divide, and the k-th
-  determinantal divisor is s_1 ... s_k;
+  form s_1 | s_2 | ... | s_r.  One kernel computes it on sparse rows:
+  unit pivots are eliminated first, each adding a factor 1, and the small
+  remainder without units is diagonalized by gcd steps, then its diagonal
+  is normalized by gcd/lcm.  Region matrices reach it straight from the
+  region's adjacency, other matrices from their rows.  The rank over Q is
+  r, the rank over GF(p) is the number of s_i that p does not divide, and
+  the k-th determinantal divisor is s_1 ... s_k;
 * permanents of 0/1 matrices: a row-by-row dynamic program over the sets
   of used columns, which carries the signed sum of the matchings (the
   determinant) alongside their count; Bareiss stays the independent check
@@ -261,17 +264,94 @@ def rank_mod_p(matrix: IntMatrix, p: int) -> int:
 def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     """Nonnegative invariant factors s_1 | s_2 | ... of the integer Smith form.
 
-    First diagonalize: for each pivot position k, alternately move a
-    smallest nonzero entry of column k to the pivot and clear the column by
-    floor-division row steps, then clear row k by column steps, swapping in
-    its smallest remainder, until row and column k are zero off the pivot.
-    Each swap strictly shrinks the pivot, so this terminates.  The Smith form
-    is unique, so replacing each pair (s_i, s_j), i < j, of the non-unit
-    diagonal entries by (gcd, lcm), then putting the units first, yields the
-    invariant factors.  Arbitrary precision, so no overflow is possible.
+    The rows become sparse rows and go through ``_sparse_smith``, the one
+    Smith kernel, which region matrices also reach straight from their
+    adjacency (``region_invariant_factors``).
     """
-    a = matrix.to_lists()
-    rows, cols = matrix.rows, matrix.cols
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
+    return _sparse_smith(rows, matrix.cols)
+
+
+def region_invariant_factors(region) -> tuple[int, ...]:
+    """Invariant factors of the region's bi-adjacency matrix Z, read from
+    ``region.adjacency`` as sparse rows; Z is never built densely."""
+    return _sparse_smith([dict.fromkeys(js, 1) for js in region.adjacency], len(region.up))
+
+
+def _sparse_smith(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
+    """Invariant factors of the matrix whose row i maps column -> nonzero
+    entry; consumes ``rows``.
+
+    Unit pivots first: going through the rows in order, a row with a +-1
+    entry takes the one whose column has the fewest live rows, and exact
+    integer row steps clear that column.  Column steps would then clear the
+    pivot row without touching any other row, so the row and the column are
+    dropped and the pivot adds an invariant factor 1.  Passes repeat while
+    fill-in creates new units.  What is left has no unit entry; it is
+    diagonalized by ``_gcd_step_diagonal``, and replacing each pair
+    (s_i, s_j), i < j, of its non-unit diagonal entries by (gcd, lcm), then
+    putting the units first, yields the invariant factors (the Smith form is
+    unique).  Arbitrary precision, so no overflow is possible.
+    """
+    col_rows: list[set[int]] = [set() for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    units = 0
+    live = [i for i, row in enumerate(rows) if row]
+    progress = True
+    while progress:
+        progress = False
+        for i in live:
+            row = rows[i]
+            best = None
+            for j, v in row.items():
+                if (v == 1 or v == -1) and (best is None or len(col_rows[j]) < len(col_rows[best])):
+                    best = j
+            if best is None:
+                continue
+            progress = True
+            units += 1
+            rows[i] = {}
+            for j in row:
+                col_rows[j].discard(i)
+            pivot = row.pop(best)
+            for k in col_rows[best]:
+                other = rows[k]
+                f = other.pop(best) * pivot  # the pivot is its own inverse
+                for j, v in row.items():
+                    w = other.get(j, 0) - f * v
+                    if w:
+                        if j not in other:
+                            col_rows[j].add(k)
+                        other[j] = w
+                    elif j in other:
+                        del other[j]
+                        col_rows[j].discard(k)
+            col_rows[best] = set()
+        live = [i for i in live if rows[i]]
+    remainder_cols = sorted({j for i in live for j in rows[i]})
+    remainder = [[rows[i].get(j, 0) for j in remainder_cols] for i in live]
+    diagonal = _gcd_step_diagonal(remainder)
+    rest = [s for s in diagonal if s != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = math.gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return (1,) * (units + len(diagonal) - len(rest)) + tuple(rest)
+
+
+def _gcd_step_diagonal(a: list[list[int]]) -> list[int]:
+    """Absolute diagonal of a dense matrix (list of rows, changed in place)
+    after diagonalization by gcd steps.
+
+    For each pivot position k, alternately move a smallest nonzero entry of
+    column k to the pivot and clear the column by floor-division row steps,
+    then clear row k by column steps, swapping in its smallest remainder,
+    until row and column k are zero off the pivot.  Each swap strictly
+    shrinks the pivot, so this terminates.
+    """
+    rows, cols = len(a), len(a[0]) if a else 0
     diagonal: list[int] = []
     for k in range(min(rows, cols)):
         # rows and columns before k are already zero off the diagonal
@@ -308,12 +388,7 @@ def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
             if j0 is None:
                 break
         diagonal.append(abs(pivot))
-    rest = [s for s in diagonal if s != 1]
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = math.gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return (1,) * (len(diagonal) - len(rest)) + tuple(rest)
+    return diagonal
 
 
 def determinantal_divisor(matrix: IntMatrix, r: int) -> int:

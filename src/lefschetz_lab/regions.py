@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -35,6 +36,8 @@ from .ideals import (
 )
 from .intlinalg import lattice_points
 from .tilings import Tiling
+
+_EZ_EY = operator.itemgetter(2, 1)
 
 UP_HEAVY = "up-heavy"
 DOWN_HEAVY = "down-heavy"
@@ -55,9 +58,10 @@ class TriangularRegion:
     down: tuple[Monomial, ...]
 
     def __init__(self, d: int, up, down):
-        up = tuple(sorted(up, key=Monomial.revlex_key))
-        down = tuple(sorted(down, key=Monomial.revlex_key))
-        if any(m.degree != d - 1 for m in up) or any(n.degree != d - 2 for n in down):
+        # at one degree, ascending revlex order is descending (ez, ey)
+        up = tuple(sorted(up, key=_EZ_EY, reverse=True))
+        down = tuple(sorted(down, key=_EZ_EY, reverse=True))
+        if any(sum(m) != d - 1 for m in up) or any(sum(n) != d - 2 for n in down):
             raise ValueError("labels of the wrong degree for this region")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "up", up)

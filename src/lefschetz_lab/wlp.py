@@ -14,21 +14,23 @@ where it fails are exactly the primes dividing the leading determinantal
 divisors of the decisive matrices; that set is finite and is computed
 exactly, never by scanning a prime range.
 
-``wlp_full_scan``, ``bad_primes`` and ``conjecture_scan`` share one per-degree
-body, ``_degree_matrix``: the degree-d region, its bi-adjacency matrix Z and
-the rank min(rows, cols) that maximal rank requires.  Each degree is reduced
-once per run: ``_degree_factors`` caches the invariant factors of one Smith
-form of Z, and the scan and ``bad_primes`` read every rank and leading
-divisor off them.  Degrees where one side of the region is empty need no
-branch: their ranks are 0 and their leading divisor is 1.  ``bad_primes``
-is the one source of bad primes; the all-degree set of the
-``divisors=True`` scan (``--all-primes``) is its runtime check.
+Each degree is reduced once per run: ``_degree_factors`` caches the
+degree-d region, the rank min(rows, cols) of its bi-adjacency matrix Z that
+maximal rank requires, and the invariant factors of Z, which
+``region_invariant_factors`` reads straight from the region's adjacency as
+sparse rows; no dense Z is built.  ``wlp_full_scan`` and ``bad_primes`` read
+every rank and leading divisor off those factors.  Degrees where one side of
+the region is empty need no branch: their ranks are 0 and their leading
+divisor is 1.  ``bad_primes`` is the one source of bad primes; the
+all-degree set of the ``divisors=True`` scan (``--all-primes``) is its
+runtime check.
 
-``conjecture_scan`` needs, per degree, only the candidate primes where Z
-loses rank, and ``_rank_deficient_primes`` answers that with one Bareiss
-elimination: its last pivot M is a nonzero maximal minor, so a prime that
-does not divide M keeps the rank over Q, and only the primes dividing M get
-an elimination mod p.  No divisor is computed.
+``conjecture_scan`` alone builds the dense Z, through ``_degree_matrix``.  It
+needs, per degree, only the candidate primes where Z loses rank, and
+``_rank_deficient_primes`` answers that with one Bareiss elimination: its
+last pivot M is a nonzero maximal minor, so a prime that does not divide M
+keeps the rank over Q, and only the primes dividing M get an elimination
+mod p.  No divisor is computed.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .intlinalg import (
     factorize,
     is_probable_prime,
     rank_mod_p,
-    smith_invariant_factors,
+    region_invariant_factors,
 )
 from .formulas import macmahon, type_one_odd_minor
 from .regions import Balance, TriangularRegion, balance, build_region
@@ -117,7 +119,7 @@ def _scan_range(ideal: MonomialIdeal) -> range:
 
 def _degree_matrix(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, IntMatrix, int]:
     """The degree-d region, its bi-adjacency matrix Z, and the rank of Z that
-    maximal rank requires."""
+    maximal rank requires (the conjecture scan's Bareiss input)."""
     region = build_region(ideal, d)
     z = biadjacency(region)
     return region, z, min(z.rows, z.cols)
@@ -125,10 +127,10 @@ def _degree_matrix(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, IntM
 
 @functools.lru_cache(maxsize=4096)
 def _degree_factors(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, int, tuple[int, ...]]:
-    """The degree-d region, the rank that maximal rank requires, and the
-    invariant factors of Z.  Z itself is not kept."""
-    region, z, required = _degree_matrix(ideal, d)
-    return region, required, smith_invariant_factors(z)
+    """The degree-d region, the rank of Z that maximal rank requires, and
+    the invariant factors of Z, reduced from the region's sparse rows."""
+    region = build_region(ideal, d)
+    return region, min(len(region.down), len(region.up)), region_invariant_factors(region)
 
 
 def _prime_set(divisors: Iterable[int]) -> tuple[int, ...]:

@@ -1,24 +1,36 @@
 """Property tests: the exact kernels of ``intlinalg`` against brute-force
-oracles on random small integer matrices."""
+oracles on random small integer matrices and on the regions of random
+ideals."""
 
 from __future__ import annotations
+
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz_lab import (
     IntMatrix,
+    build_region,
     determinantal_divisor,
     matching_counts,
+    parse_ideal,
     permanent,
     rank_mod_p,
+    region_invariant_factors,
     smith_invariant_factors,
 )
+from lefschetz_lab import intlinalg
+from lefschetz_lab.wlp import _scan_range
 from _oracles import (
     all_minors_divisor,
     cofactor_determinant,
+    fraction_rank,
+    multiplication_matrix,
     permutation_permanent,
     plain_rank_mod,
+    random_artinian_ideal,
 )
 
 # small, word-size-boundary, and far-above-int64 primes
@@ -117,3 +129,63 @@ def test_smith_form_is_a_chain_of_minor_gcd_quotients(a):
 def test_rank_mod_p_matches_plain_elimination(case):
     a, p = case
     assert rank_mod_p(a, p) == plain_rank_mod(a, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 4))
+def test_region_factors_match_independent_oracles(seed, extra):
+    """The factors read from a region's adjacency give the ranks and the
+    leading divisor of the multiplication map, built by polynomial
+    arithmetic and reduced without any Smith form."""
+    ideal = random_artinian_ideal(random.Random(seed), 6, extra)
+    for d in _scan_range(ideal):
+        factors = region_invariant_factors(build_region(ideal, d))
+        m = multiplication_matrix(ideal, d)
+        assert len(factors) == fraction_rank(m), (str(ideal), d)
+        for p in (2, 3, 5, 2147483659):
+            assert sum(1 for s in factors if s % p) == plain_rank_mod(m, p), (str(ideal), d, p)
+        required = min(m.rows, m.cols)
+        if required <= 4 and max(m.rows, m.cols) <= 8:
+            leading = math.prod(factors) if len(factors) == required else 0
+            assert leading == all_minors_divisor(m, required), (str(ideal), d)
+
+
+def _remainders(monkeypatch) -> list:
+    """Record what the unit elimination leaves for the gcd steps."""
+    seen = []
+    gcd_steps = intlinalg._gcd_step_diagonal
+
+    def recorded(a):
+        seen.append([list(row) for row in a])
+        return gcd_steps(a)
+
+    monkeypatch.setattr(intlinalg, "_gcd_step_diagonal", recorded)
+    return seen
+
+
+def test_worked_example_leaves_a_one_by_one_remainder(monkeypatch):
+    seen = _remainders(monkeypatch)
+    region = build_region(parse_ideal("x^4,y^4,z^4,x^2z^2"), 5)
+    assert (len(region.down), len(region.up)) == (10, 11)
+    assert region_invariant_factors(region) == (1,) * 9 + (4,)
+    assert [[abs(v) for v in row] for row in seen[-1]] == [[4]]
+
+
+def test_fill_in_entries_beyond_units(monkeypatch):
+    # unit pivots on rows 0 and 1 turn row 2 into (0, 0, 2)
+    seen = _remainders(monkeypatch)
+    assert smith_invariant_factors(IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == (1, 1, 2)
+    assert seen[-1] == [[2]]
+    # one unit pivot leaves a 2 x 2 remainder without units for the gcd steps
+    a = IntMatrix([[1, 1, 0], [1, -1, 2], [0, 2, 4]])
+    assert smith_invariant_factors(a) == (1, 2, 6)
+    assert seen[-1] == [[-2, 2], [2, 4]]
+    assert [determinantal_divisor(a, k) for k in range(4)] == [all_minors_divisor(a, k) for k in range(4)]
+
+
+def test_empty_shapes_have_no_factors():
+    for rows, cols in ((0, 0), (0, 4), (4, 0)):
+        assert smith_invariant_factors(IntMatrix([[]] * rows if rows else [], cols=cols)) == ()
+    empty_side = build_region(parse_ideal("x^4,y^4,z^4,x^2z^2"), 1)
+    assert (len(empty_side.down), len(empty_side.up)) == (0, 1)
+    assert region_invariant_factors(empty_side) == ()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -78,24 +79,33 @@ def test_full_scan_divisors_pin_bad_primes():
         assert r.leading_divisor is not None
 
 
-@pytest.mark.parametrize("divisors", [False, True])
-def test_full_scan_runs_one_smith_form_per_degree(monkeypatch, divisors):
+def _count_region_reductions(monkeypatch) -> list:
+    """Count ``wlp``'s per-degree Smith reductions; make every dense region
+    matrix, every ``IntMatrix`` and every other rank or divisor kernel
+    raise on the way."""
     from lefschetz_lab import intlinalg, wlp
 
     calls = []
 
-    def counted(matrix):
-        calls.append(matrix)
-        return intlinalg.smith_invariant_factors(matrix)
+    def counted(region):
+        calls.append(region)
+        return intlinalg.region_invariant_factors(region)
 
-    def forbidden(*args):
-        raise AssertionError("the scan ran a second rank or divisor kernel")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan built a dense matrix or ran a second kernel")
 
-    monkeypatch.setattr(wlp, "smith_invariant_factors", counted)
+    monkeypatch.setattr(wlp, "region_invariant_factors", counted)
     for module in (wlp, intlinalg):
-        for name in ("bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
+        for name in ("biadjacency", "smith_invariant_factors", "bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(intlinalg.IntMatrix, "__init__", forbidden)
+    return calls
+
+
+@pytest.mark.parametrize("divisors", [False, True])
+def test_full_scan_runs_one_smith_form_per_degree(monkeypatch, divisors):
+    calls = _count_region_reductions(monkeypatch)
     ideal = parse_ideal(EXA)
     report = wlp_full_scan(ideal, primes=(2, 3, 5), divisors=divisors)
     assert len(calls) == len(report.degrees) == len(_scan_range(ideal))
@@ -395,23 +405,19 @@ def test_analyze_reports_exact_bad_primes():
 
 @pytest.mark.parametrize("all_primes", [False, True])
 def test_analyze_reduces_each_degree_once(monkeypatch, all_primes):
-    from lefschetz_lab import intlinalg, wlp
-
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix)
-        return intlinalg.smith_invariant_factors(matrix)
-
-    def forbidden(*args):
-        raise AssertionError("a degree was reduced a second time")
-
-    monkeypatch.setattr(wlp, "smith_invariant_factors", counted)
-    monkeypatch.setattr(intlinalg, "determinantal_divisor", forbidden)
-    assert not hasattr(wlp, "determinantal_divisor")
+    calls = _count_region_reductions(monkeypatch)
     report = analyze_wlp(parse_ideal(EXA), (2, 3, 5), all_primes=all_primes)
     assert len(calls) == len(report.degrees)
     assert report.bad_primes == (2,)
+
+
+def test_ci_reduces_only_its_decisive_degrees(monkeypatch, capsys):
+    from lefschetz_lab.cli import main
+
+    calls = _count_region_reductions(monkeypatch)
+    assert main(["ci", "6", "7", "8", "--json"]) == 0
+    assert [r.d for r in calls] == [10, 11]  # the two degrees of the strict peak
+    assert json.loads(capsys.readouterr().out)["bad_primes"] == [2, 3, 7]
 
 
 def test_all_primes_cross_checks_the_decisive_bad_primes(monkeypatch):
