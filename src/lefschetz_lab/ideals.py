@@ -3,11 +3,11 @@
 An ideal's graded pieces are read off its staircase, the height function
 H(i, k) = min{g.ez : g.ex <= i, g.ey <= k} over the generators g (infinite
 where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
-``standard_monomials`` emits each degree straight from that table and
-``socle_profile`` reads the socle off its corners, so neither tests a
-monomial against the generators; the Hilbert function and the triangular
-regions are read off ``standard_monomials``.  ``MonomialIdeal.__contains__``
-remains the public membership test.
+``hilbert_function`` counts every degree off that table in one pass,
+``standard_monomials`` lists a degree's monomials from it for the triangular
+regions, and ``socle_profile`` reads the socle off its corners, so none of
+them tests a monomial against the generators or builds one just to count it.
+``MonomialIdeal.__contains__`` remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are
 immutable after construction and every function is pure, so the module is safe
@@ -26,6 +26,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotArtinianError, ParseError
@@ -383,12 +384,25 @@ def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertF
     ``d_max`` defaults to the socle degree plus two, which covers every degree
     a weak Lefschetz check can ever need; the default requires an Artinian
     ideal.
+
+    Counted off the staircase without building a monomial: a run (lo, hi,
+    width) of the slice z^e holds, in degree e + s, one monomial per i with
+    lo <= i < hi and 0 <= s - i < width.  That count is a trapezoid in s
+    whose second difference is +1 at lo and hi + width and -1 at hi and
+    lo + width, so four updates per run and two prefix sums give every value.
     """
     if not ideal.is_proper:
         raise ValueError("the unit ideal has no Hilbert function")
     if d_max is None:
         d_max = socle_profile(ideal).socle_degree + 2
-    return HilbertFunction(len(standard_monomials(ideal, j)) for j in range(d_max + 1))
+    stair = _staircase(ideal)
+    second = [0] * (d_max + 1)
+    for ez in range(min(d_max + 1, stair.top)):
+        for lo, hi, width in stair.bands[bisect_right(stair.levels, ez)]:
+            for at, step in ((lo, 1), (hi, -1), (lo + width, -1), (hi + width, 1)):
+                if ez + at <= d_max:  # also skips the infinite corners
+                    second[ez + at] += step
+    return HilbertFunction(accumulate(accumulate(second)))
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,8 @@ every rank and leading divisor off those factors.  Degrees where one side of
 the region is empty need no branch: their ranks are 0 and their leading
 divisor is 1.  ``bad_primes`` is the one source of bad primes; the
 all-degree set of the ``divisors=True`` scan (``--all-primes``) is its
-runtime check.
-
-``conjecture_scan`` alone builds the dense Z, through ``_degree_matrix``.  It
-needs, per degree, only the candidate primes where Z loses rank, and
-``_rank_deficient_primes`` answers that with one Bareiss elimination: its
-last pivot M is a nonzero maximal minor, so a prime that does not divide M
-keeps the rank over Q, and only the primes dividing M get an elimination
-mod p.  No divisor is computed.
+runtime check.  ``conjecture_scan`` reads the same factors: a prime lowers
+the rank of Z over GF(p) exactly when it divides the last one.
 """
 
 from __future__ import annotations
@@ -50,15 +44,7 @@ from .ideals import (
     hilbert_function,
     socle_profile,
 )
-from .intlinalg import (
-    IntMatrix,
-    bareiss,
-    biadjacency,
-    factorize,
-    is_probable_prime,
-    rank_mod_p,
-    region_invariant_factors,
-)
+from .intlinalg import factorize, is_probable_prime, region_invariant_factors
 from .formulas import macmahon, type_one_odd_minor
 from .regions import Balance, TriangularRegion, balance, build_region
 
@@ -115,14 +101,6 @@ class WlpReport:
 def _scan_range(ideal: MonomialIdeal) -> range:
     # beyond socle degree + 2 every graded piece involved is zero
     return range(1, socle_profile(ideal).socle_degree + 3)
-
-
-def _degree_matrix(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, IntMatrix, int]:
-    """The degree-d region, its bi-adjacency matrix Z, and the rank of Z that
-    maximal rank requires (the conjecture scan's Bareiss input)."""
-    region = build_region(ideal, d)
-    z = biadjacency(region)
-    return region, z, min(z.rows, z.cols)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -572,34 +550,25 @@ def enumerate_type2_ideals(max_exponent: int):
                             )
 
 
-def _rank_deficient_primes(
-    z: IntMatrix, required: int, primes: Iterable[int]
-) -> tuple[int, list[int]]:
-    """The rank of Z over Q, and the primes among ``primes`` (in their
-    order) where the rank of Z over GF(p) is below ``required``.
+def _rank_dropping_primes(factors: tuple[int, ...], primes: Iterable[int]) -> list[int]:
+    """The primes among ``primes``, in their order, where a matrix of full
+    rank over Q with invariant factors s_1 | ... | s_r loses rank over GF(p).
 
-    One Bareiss elimination gives the rank r over Q and a nonzero r x r
-    minor M.  The rank over GF(p) never exceeds r, and equals it when p does
-    not divide M, so only the primes dividing M are eliminated mod p.  When
-    r itself is short, every prime is.
+    The rank over GF(p) counts the s_i that p does not divide, and p divides
+    some s_i exactly when it divides s_r.  An empty matrix loses nothing.
     """
-    rank, minor = bareiss(z)
-    if rank < required:
-        return rank, list(primes)
-    return rank, [p for p in primes if minor % p == 0 and rank_mod_p(z, p) < required]
+    return [p for p in primes if factors and factors[-1] % p == 0]
 
 
 def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounterexample]:
     """Search for a type-2 algebra with the property in characteristic zero
     that loses it at some prime p with 2p > a+b+c, up to the given caps.
 
-    Each scanned degree costs one Bareiss elimination, whose last pivot, a
-    nonzero maximal minor, certifies full rank at every candidate prime it
-    is not divisible by; only the primes dividing it are eliminated mod p.
-    The elimination also re-checks the characteristic-zero verdict that
-    admitted the ideal: a degree of short rank over Q raises
-    ``InternalCheckError``.  An empty list supports the conjecture that no
-    such algebra exists.
+    Each scanned degree is read off its cached invariant factors through
+    ``_rank_dropping_primes``.  The factors also re-check the
+    characteristic-zero verdict that admitted the ideal: a degree of short
+    rank over Q raises ``InternalCheckError``.  An empty list supports the
+    conjecture that no such algebra exists.
     """
     counterexamples = []
     primes = _primes_up_to(prime_cap)
@@ -612,14 +581,15 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
         if not candidates:
             continue
         for d in _scan_range(ideal):
-            _, z, required = _degree_matrix(ideal, d)
-            rank, deficient = _rank_deficient_primes(z, required, candidates)
-            if rank < required:
+            _, required, factors = _degree_factors(ideal, d)
+            if len(factors) < required:
                 raise InternalCheckError(
                     f"type-2 verdict says ({ideal}) has the property, but degree {d} "
-                    f"has rank {rank} < {required} over Q"
+                    f"has rank {len(factors)} < {required} over Q"
                 )
-            counterexamples.extend(ConjectureCounterexample(ideal, p, d) for p in deficient)
+            counterexamples.extend(
+                ConjectureCounterexample(ideal, p, d) for p in _rank_dropping_primes(factors, candidates)
+            )
     return counterexamples
 
 

@@ -164,6 +164,16 @@ def test_cli_json_outputs_are_valid_and_stable():
         assert json.loads(json.dumps(payload)) == payload
 
 
+def test_hilbert_counts_a_deep_non_artinian_quotient():
+    # outside (x^3*y, y^5): x^i z^e for y^0, and i < 3 for each y^k, 1 <= k <= 4
+    code, out, _ = run_cli(["hilbert", "x^3*y,y^5", "--max-degree", "1500", "--json"])
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert len(values) == 1501
+    assert values == [j + 1 + sum(max(0, min(3, j - k + 1)) for k in range(1, 5)) for j in range(1501)]
+    assert all(values[j] == j + 13 for j in range(6, 1501))
+
+
 def test_wlp_json_matches_schema_example():
     _, out, _ = run_cli(["wlp", "x^4,y^4,z^4,x^2*z^2", "--json"])
     payload = json.loads(out)

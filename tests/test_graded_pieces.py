@@ -1,5 +1,7 @@
 """Property tests: every graded piece read off ``standard_monomials`` and
-``TriangularRegion.adjacency`` matches brute-force membership filtering."""
+``TriangularRegion.adjacency`` matches brute-force membership filtering, and
+the Hilbert function counted off the staircase matches ``standard_monomials``
+at depth."""
 
 from __future__ import annotations
 
@@ -10,11 +12,15 @@ from hypothesis import strategies as st
 from lefschetz_lab import (
     Monomial,
     MonomialIdeal,
+    HilbertFunction,
     NotArtinianError,
+    bad_primes,
     biadjacency,
     build_region,
     hilbert_function,
     monomials_of_degree,
+    parse_ideal,
+    peak_shortcut,
     socle_profile,
     standard_monomials,
 )
@@ -63,3 +69,55 @@ def test_graded_pieces_match_membership_filtering(ideal, d_max, d):
     assert (z.rows, z.cols) == (len(region.down), len(region.up))
     for row, neighbours in zip(z.entries, region.adjacency):
         assert [j for j, e in enumerate(row) if e] == sorted(neighbours)
+
+
+@st.composite
+def deep_ideals(draw):
+    """Up to three pure powers (each up to 40, or absent) and up to six
+    extra generators, with a range reaching five degrees past the socle of
+    an Artinian quotient."""
+    powers = draw(st.lists(st.one_of(st.none(), st.integers(1, 40)), min_size=3, max_size=3))
+    gens = [Monomial(*(e if v == k else 0 for v in range(3))) for k, e in enumerate(powers) if e]
+    small = st.integers(0, 12)
+    gens += draw(st.lists(st.builds(Monomial, small, small, small).filter(lambda g: g.degree > 0), max_size=6))
+    ideal = MonomialIdeal(gens)
+    reach = socle_profile(ideal).socle_degree if ideal.is_artinian else 45
+    return ideal, draw(st.integers(-1, reach + 5))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=deep_ideals())
+def test_hilbert_function_counts_the_standard_monomials_at_depth(case):
+    ideal, d_max = case
+    expected = HilbertFunction(len(standard_monomials(ideal, j)) for j in range(d_max + 1))
+    assert hilbert_function(ideal, d_max) == expected
+
+
+def test_hilbert_function_builds_no_monomial(monkeypatch):
+    from lefschetz_lab import ideals, regions
+
+    ideal = parse_ideal("x^40,y^40,z^40,x^7*y^3*z^11,x^2*y^30")
+
+    def forbidden(*args):
+        raise AssertionError("the Hilbert function built a monomial")
+
+    with monkeypatch.context() as patched:
+        for name in ("Monomial", "standard_monomials", "monomials_of_degree"):
+            patched.setattr(ideals, name, forbidden)
+        patched.setattr(MonomialIdeal, "__contains__", forbidden)
+        h = hilbert_function(ideal, 200)
+    assert h == HilbertFunction(len(standard_monomials(ideal, j)) for j in range(201))
+
+    # bad primes build the standard monomials of the decisive regions only
+    ci = parse_ideal("x^40,y^40,z^40")
+    listed = []
+
+    def counted(ideal, j):
+        listed.append(j)
+        return standard_monomials(ideal, j)
+
+    monkeypatch.setattr(regions, "standard_monomials", counted)
+    monkeypatch.setattr(ideals, "standard_monomials", counted)
+    assert bad_primes(ci)
+    decisive = peak_shortcut(ci).degrees
+    assert sorted(listed) == sorted(j for d in decisive for j in (d - 2, d - 1))

@@ -26,11 +26,11 @@ from lefschetz_lab import (
     type_one_verdict,
     wlp_full_scan,
 )
-from lefschetz_lab.intlinalg import bareiss
+from lefschetz_lab.intlinalg import biadjacency
 from lefschetz_lab.wlp import (
-    _degree_matrix,
+    _degree_factors,
     _primes_up_to,
-    _rank_deficient_primes,
+    _rank_dropping_primes,
     _scan_range,
     enumerate_type2_ideals,
 )
@@ -324,40 +324,49 @@ def test_conjecture_scan_small():
 PRIMES_TO_31 = _primes_up_to(31)
 
 
-def _deficient_primes_agree_with_modular_ranks(ideal):
-    """Compare the one-minor certificate with a rank mod p at every prime up
-    to 31 and every scanned degree; count the degrees where some prime
-    divides the minor yet keeps the rank, and where some prime drops it."""
-    kept = dropped = 0
+def _dropping_primes_agree_with_modular_ranks(ideal) -> int:
+    """Compare the primes read off each scanned degree's last invariant
+    factor with a rank mod p of the dense Z at every prime up to 31; count
+    the degrees of full rank over Q where some prime drops the rank."""
+    dropped = 0
     for d in _scan_range(ideal):
-        _, z, required = _degree_matrix(ideal, d)
+        region, required, factors = _degree_factors(ideal, d)
+        z = biadjacency(region)
         expected = [p for p in PRIMES_TO_31 if plain_rank_mod(z, p) < required]
-        rank, deficient = _rank_deficient_primes(z, required, PRIMES_TO_31)
-        assert deficient == expected, (str(ideal), d)
-        if rank == required:
-            _, minor = bareiss(z)
-            kept += any(minor % p == 0 and p not in expected for p in PRIMES_TO_31)
-            dropped += bool(expected)
-    return kept, dropped
+        if len(factors) < required:  # short over Q: short at every prime
+            assert expected == PRIMES_TO_31, (str(ideal), d)
+            continue
+        assert _rank_dropping_primes(factors, PRIMES_TO_31) == expected, (str(ideal), d)
+        dropped += bool(expected)
+    return dropped
 
 
 def test_rank_certificate_matches_modular_ranks_on_the_type2_grid():
     # every prime up to 31, including those with 2p <= a+b+c that the scan
-    # skips, so both the "p divides the minor" branch and real drops occur
-    kept = dropped = 0
-    for ideal in enumerate_type2_ideals(4):
-        k, dr = _deficient_primes_agree_with_modular_ranks(ideal)
-        kept, dropped = kept + k, dropped + dr
-    assert kept and dropped
+    # skips, so real rank drops occur
+    assert sum(_dropping_primes_agree_with_modular_ranks(ideal) for ideal in enumerate_type2_ideals(4))
     # the worked example has bad prime 2, which drops the rank at degree 5
-    _, z, required = _degree_matrix(parse_ideal(EXA), 5)
-    assert _rank_deficient_primes(z, required, (2, 3)) == (required, [2])
+    _, required, factors = _degree_factors(parse_ideal(EXA), 5)
+    assert len(factors) == required
+    assert _rank_dropping_primes(factors, (2, 3)) == [2]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
 def test_rank_certificate_matches_modular_ranks_on_random_regions(seed, extra):
-    _deficient_primes_agree_with_modular_ranks(random_artinian_ideal(random.Random(seed), 6, extra))
+    _dropping_primes_agree_with_modular_ranks(random_artinian_ideal(random.Random(seed), 6, extra))
+
+
+def test_conjecture_scan_reduces_each_degree_once(monkeypatch):
+    primes = _primes_up_to(13)
+    scanned = sum(
+        len(_scan_range(ideal))
+        for ideal in enumerate_type2_ideals(3)
+        if type2_char0_verdict(ideal)[0] and any(2 * p > sum(ideal.pure_powers) for p in primes)
+    )
+    calls = _count_region_reductions(monkeypatch)
+    assert conjecture_scan(3, 13) == []
+    assert len(calls) == scanned > 0
 
 
 def test_conjecture_scan_cross_checks_the_char0_verdict(monkeypatch):
