@@ -196,6 +196,8 @@ class MonomialIdeal:
         return MonomialIdeal(self.gens + (m,))
 
     def permuted(self, sigma: Permutation) -> "MonomialIdeal":
+        if sigma.image == (0, 1, 2):  # frozen, so the identity can share self
+            return self
         return MonomialIdeal(tuple(sigma.apply(g) for g in self.gens))
 
 

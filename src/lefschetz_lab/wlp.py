@@ -25,11 +25,20 @@ divisor is 1.  ``bad_primes`` is the one source of bad primes; the
 all-degree set of the ``divisors=True`` scan (``--all-primes``) is its
 runtime check.  ``conjecture_scan`` reads the same factors: a prime lowers
 the rank of Z over GF(p) exactly when it divides the last one.
+
+Across the ideals of one conjecture scan, each region shape is reduced
+once.  Two invariances make that exact: the degree-d region depends only on
+the generators of degree below d (each cuts a puncture of side d - deg g),
+and a variable permutation maps the region of I onto that of its image,
+reordering the rows and columns of Z without changing its invariant
+factors or the required rank.  The sharing lives in a dict local to the
+call, keyed by ``_region_key``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -560,18 +569,37 @@ def _rank_dropping_primes(factors: tuple[int, ...], primes: Iterable[int]) -> li
     return [p for p in primes if factors and factors[-1] % p == 0]
 
 
+_AXIS_ORDERS = tuple(itertools.permutations(range(3)))
+
+
+def _region_key(ideal: MonomialIdeal, d: int, forms: dict) -> tuple:
+    """The key under which ``conjecture_scan`` shares the degree-d region:
+    the generators of degree below d in canonical form, the least sorted
+    tuple of exponent triples over the six variable permutations, and d.
+    ``forms`` memoizes the canonical form per truncation."""
+    below = tuple(g for g in ideal.gens if g.degree < d)
+    form = forms.get(below)
+    if form is None:
+        form = forms[below] = min(tuple(sorted((g[i], g[j], g[k]) for g in below)) for i, j, k in _AXIS_ORDERS)
+    return form, d
+
+
 def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounterexample]:
     """Search for a type-2 algebra with the property in characteristic zero
     that loses it at some prime p with 2p > a+b+c, up to the given caps.
 
-    Each scanned degree is read off its cached invariant factors through
-    ``_rank_dropping_primes``.  The factors also re-check the
-    characteristic-zero verdict that admitted the ideal: a degree of short
+    Each scanned degree is read off its invariant factors through
+    ``_rank_dropping_primes``.  Ideals that agree below a degree up to a
+    variable permutation share that degree's reduction: each
+    ``_region_key`` is reduced once per call.  The factors also re-check the
+    characteristic-zero verdict that admitted each ideal: a degree of short
     rank over Q raises ``InternalCheckError``.  An empty list supports the
     conjecture that no such algebra exists.
     """
     counterexamples = []
     primes = _primes_up_to(prime_cap)
+    forms: dict = {}
+    shared: dict = {}
     for ideal in enumerate_type2_ideals(max_exponent):
         holds, _ = type2_char0_verdict(ideal)
         if not holds:
@@ -581,7 +609,10 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
         if not candidates:
             continue
         for d in _scan_range(ideal):
-            _, required, factors = _degree_factors(ideal, d)
+            key = _region_key(ideal, d, forms)
+            if key not in shared:
+                shared[key] = _degree_factors(ideal, d)[1:]
+            required, factors = shared[key]
             if len(factors) < required:
                 raise InternalCheckError(
                     f"type-2 verdict says ({ideal}) has the property, but degree {d} "

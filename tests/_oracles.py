@@ -23,6 +23,7 @@ from lefschetz_lab import (
     MonomialIdeal,
     monomials_of_degree,
 )
+from lefschetz_lab.ideals import VARIABLES
 
 
 def cofactor_determinant(matrix: IntMatrix) -> int:
@@ -178,3 +179,24 @@ def random_artinian_ideal(rng: random.Random, max_power: int, extra: int = 3) ->
     if not ideal.is_proper:
         return MonomialIdeal(gens[:3])
     return ideal
+
+
+def random_low_socle_ideal(rng: random.Random, max_power: int, extra: int = 3) -> MonomialIdeal:
+    """A random Artinian monomial ideal with a socle element m of degree 1 or
+    2: its generators are x*m, y*m, z*m, pure powers and a few random
+    generators of degree deg(m)+2 .. max_power (at least 4).
+
+    A peak shortcut needs no socle element more than two degrees below the
+    last rise of the Hilbert function, so these often have none, while
+    ``random_artinian_ideal`` almost never draws such an ideal.
+    """
+    k = rng.randint(1, 2)
+    m = rng.choice(monomials_of_degree(k))
+    gens = [v * m for v in VARIABLES]
+    gens += [Monomial(*(rng.randint(k + 2, max_power) * e for e in v)) for v in VARIABLES]
+    for _ in range(rng.randint(0, extra)):
+        j = rng.randint(k + 2, max_power)
+        a = rng.randint(0, j)
+        b = rng.randint(0, j - a)
+        gens.append(Monomial(a, b, j - a - b))
+    return MonomialIdeal(gens)

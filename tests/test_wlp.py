@@ -15,10 +15,12 @@ from lefschetz_lab import (
     NotTypeTwoError,
     analyze_wlp,
     bad_primes,
+    build_region,
     classify_type2,
     conjecture_scan,
     parse_ideal,
     peak_shortcut,
+    region_invariant_factors,
     socle_profile,
     type2_char0_verdict,
     type2_condition_range,
@@ -26,11 +28,13 @@ from lefschetz_lab import (
     type_one_verdict,
     wlp_full_scan,
 )
+from lefschetz_lab.ideals import ALL_PERMUTATIONS
 from lefschetz_lab.intlinalg import biadjacency
 from lefschetz_lab.wlp import (
     _degree_factors,
     _primes_up_to,
     _rank_dropping_primes,
+    _region_key,
     _scan_range,
     enumerate_type2_ideals,
 )
@@ -39,6 +43,7 @@ from _oracles import (
     multiplication_matrix,
     plain_rank_mod,
     random_artinian_ideal,
+    random_low_socle_ideal,
 )
 
 EXA = "x^4,y^4,z^4,x^2z^2"
@@ -357,16 +362,79 @@ def test_rank_certificate_matches_modular_ranks_on_random_regions(seed, extra):
     _dropping_primes_agree_with_modular_ranks(random_artinian_ideal(random.Random(seed), 6, extra))
 
 
-def test_conjecture_scan_reduces_each_degree_once(monkeypatch):
-    primes = _primes_up_to(13)
-    scanned = sum(
-        len(_scan_range(ideal))
-        for ideal in enumerate_type2_ideals(3)
+def _admitted_degrees(max_exponent: int, prime_cap: int) -> list:
+    """Every (ideal, d) the conjecture scan reads, in its order: the scanned
+    degrees of each ideal with the property in characteristic zero and some
+    prime p <= prime_cap with 2p > a+b+c."""
+    primes = _primes_up_to(prime_cap)
+    return [
+        (ideal, d)
+        for ideal in enumerate_type2_ideals(max_exponent)
         if type2_char0_verdict(ideal)[0] and any(2 * p > sum(ideal.pure_powers) for p in primes)
-    )
+        for d in _scan_range(ideal)
+    ]
+
+
+def _shape(ideal, d) -> tuple:
+    """The degree-d region shape as the orbit, under the six variable
+    permutations, of the generators of degree below d."""
+    below = [g for g in ideal.gens if g.degree < d]
+    return frozenset(frozenset(sigma.apply(g) for g in below) for sigma in ALL_PERMUTATIONS), d
+
+
+def test_conjecture_scan_reduces_each_region_shape_once(monkeypatch):
+    from lefschetz_lab import wlp
+
+    admitted = _admitted_degrees(3, 13)
+    shapes = {_shape(ideal, d) for ideal, d in admitted}
+    reduced = []
+
+    def spy(ideal, d):
+        reduced.append(_shape(ideal, d))
+        return _degree_factors(ideal, d)
+
     calls = _count_region_reductions(monkeypatch)
+    monkeypatch.setattr(wlp, "_degree_factors", spy)
     assert conjecture_scan(3, 13) == []
-    assert len(calls) == scanned > 0
+    assert (len(admitted), len(shapes)) == (288, 103)
+    assert len(calls) == len(reduced) == len(set(reduced)) == len(shapes)
+    assert set(reduced) == shapes
+
+
+def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch):
+    # whatever the scan shares, the factors it tests must be those of each
+    # admitted ideal's own region, degree by degree
+    from lefschetz_lab import wlp
+
+    expected = [region_invariant_factors(build_region(ideal, d)) for ideal, d in _admitted_degrees(4, 31)]
+    seen = []
+
+    def spy(factors, primes):
+        seen.append(factors)
+        return _rank_dropping_primes(factors, primes)
+
+    monkeypatch.setattr(wlp, "_rank_dropping_primes", spy)
+    assert conjecture_scan(4, 31) == []
+    assert seen == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
+def test_region_factors_survive_truncation_and_permutation(seed, extra):
+    # the two invariances the conjecture scan's sharing rests on, and its
+    # key's agreement with them
+    ideal = random_artinian_ideal(random.Random(seed), 6, extra)
+    keys = {d: _region_key(ideal, d, {}) for d in _scan_range(ideal)}
+    assert len(set(keys.values())) == len(keys)
+    for d, key in keys.items():
+        region = build_region(ideal, d)
+        factors = region_invariant_factors(region)
+        truncated = MonomialIdeal(g for g in ideal.gens if g.degree < d)
+        for other in (truncated, *(ideal.permuted(sigma) for sigma in ALL_PERMUTATIONS)):
+            twin = build_region(other, d)
+            assert (len(twin.up), len(twin.down)) == (len(region.up), len(region.down)), (str(ideal), str(other), d)
+            assert region_invariant_factors(twin) == factors, (str(ideal), str(other), d)
+            assert _region_key(other, d, {}) == key, (str(ideal), str(other), d)
 
 
 def test_conjecture_scan_cross_checks_the_char0_verdict(monkeypatch):
@@ -439,14 +507,30 @@ def test_all_primes_cross_checks_the_decisive_bad_primes(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3))
+@given(seed=st.integers(0, 2**32), extra=st.integers(0, 3), low_socle=st.booleans())
 # strict peaks whose bad primes all come from the second decisive degree:
 # x^4,x^3y,y^3,z^3 (3) and xy^5,y^6,x^4,z^4 (2 and 5)
-@example(seed=65, extra=3)
-@example(seed=301, extra=1)
-def test_decisive_bad_primes_equal_the_all_degree_set(seed, extra):
-    ideal = random_artinian_ideal(random.Random(seed), 6, extra)
-    assert analyze_wlp(ideal, all_primes=True).bad_primes == analyze_wlp(ideal).bad_primes
+@example(seed=65, extra=3, low_socle=False)
+@example(seed=301, extra=1, low_socle=False)
+def test_decisive_bad_primes_equal_the_all_degree_set(seed, extra, low_socle):
+    draw = random_low_socle_ideal if low_socle else random_artinian_ideal
+    ideal = draw(random.Random(seed), 6, extra)
+    report = analyze_wlp(ideal, all_primes=True)
+    assert report.bad_primes == analyze_wlp(ideal).bad_primes
+    if peak_shortcut(ideal) is None:
+        # every scanned degree is decisive.  With the property, a socle
+        # element of degree k forces h(k) > h(k+1) and a falling h beyond,
+        # which always places a shortcut; so one degree must be short.
+        assert not report.holds_char0
+        with pytest.raises(ValueError, match="characteristic zero"):
+            bad_primes(ideal)
+
+
+def test_low_socle_ideals_often_lack_a_peak_shortcut():
+    rng = random.Random(0)
+    ideals = [random_low_socle_ideal(rng, 6) for _ in range(100)]
+    assert all(ideal.is_artinian and min(socle_profile(ideal).degrees) <= 2 for ideal in ideals)
+    assert sum(peak_shortcut(ideal) is None for ideal in ideals) >= 20
 
 
 def test_scan_monotonicity_of_surjectivity_and_injectivity():
