@@ -11,13 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ExactnessError,
-    HypothesisError,
-    NotArtinianError,
-    NotTypeTwoError,
-    ParseError,
-)
+from .errors import ExactnessError, NotArtinianError, ParseError
 from .formulas import (
     SplitBinomParams,
     hyperfactorial,
@@ -59,7 +53,7 @@ def _prime_list(text: str) -> tuple[int, ...]:
         if not is_probable_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not prime")
         out.append(p)
-    return tuple(out)
+    return tuple(dict.fromkeys(out))  # repeats dropped, first-seen order kept
 
 
 def _scan_cap(text: str) -> int:
@@ -228,9 +222,7 @@ def _cmd_ci(args) -> int:
         return 0
     print(f"ideal: {ideal}")
     print(f"case: {verdict0.case} (peak degree {d})")
-    shown = [
-        f"{v} = {_factor_str(v)}" if _factor_str(v) != str(v) else str(v) for v in values
-    ]
+    shown = [f"{v} = {f}" if (f := _factor_str(v)) != str(v) else str(v) for v in values]
     print("decisive enumerations:", ", ".join(shown))
     if bad:
         print(f"bad primes: {' '.join(map(str, bad))}")
@@ -343,7 +335,69 @@ def _cmd_formula(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _hilbert_args(p) -> None:
+    p.add_argument("ideal")
+    p.add_argument("--max-degree", type=int, default=None)
+
+
+def _region_args(p) -> None:
+    p.add_argument("ideal")
+    p.add_argument("--d", type=int, default=None, help="degree (default: first decisive degree)")
+    p.add_argument("--svg", metavar="PATH", default=None)
+    p.add_argument("--ascii", action="store_true")
+
+
+def _count_args(p) -> None:
+    p.add_argument("ideal")
+    p.add_argument("--d", type=int, default=None, help="degree (default: first decisive degree)")
+    p.add_argument("--svg", metavar="PATH", default=None, help="render the first tiling")
+
+
+def _wlp_args(p) -> None:
+    p.add_argument("ideal")
+    p.add_argument("--primes", type=_prime_list, default=(), help="comma-separated primes to scan")
+    all_help = "compute leading divisors at every degree (exact bad primes from scan data)"
+    p.add_argument("--all-primes", action="store_true", help=all_help)
+
+
+def _ci_args(p) -> None:
+    for name in "abc":
+        p.add_argument(name, type=int)
+    p.add_argument("--char", type=int, default=None, help="also report one characteristic")
+
+
+def _scan_args(p) -> None:
+    p.add_argument("--max-exponent", type=_scan_cap, default=4)
+    p.add_argument("--prime-cap", type=_scan_cap, default=13)
+
+
+def _formula_args(p) -> None:
+    fsub = p.add_subparsers(dest="formula", required=True)
+    params = {"mac": "a b c", "hyper": "n", "splitdet": "p q r m n", "twomahonian": "a b c alpha beta d"}
+    for formula, names in params.items():
+        f = fsub.add_parser(formula)
+        for name in names.split():
+            f.add_argument(name, type=int)
+        f.add_argument("--json", action="store_true")
+
+
+#: Every subcommand: name -> (handler, help text, function adding its arguments).
+COMMANDS = {
+    "hilbert": (_cmd_hilbert, "Hilbert function and socle data", _hilbert_args),
+    "region": (_cmd_region, "triangular region statistics and punctures", _region_args),
+    "count": (_cmd_count, "tiling count and signed enumerations", _count_args),
+    "wlp": (_cmd_wlp, "weak Lefschetz verdicts and bad primes", _wlp_args),
+    "ci": (_cmd_ci, "complete-intersection classification", _ci_args),
+    "type2": (_cmd_type2, "type-2 normal form, verdict, and bounds", lambda p: p.add_argument("ideal")),
+    "scan": (_cmd_scan, "search for conjecture counterexamples", _scan_args),
+    "formula": (_cmd_formula, "evaluate a closed-form enumeration", _formula_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command`` alone.  A
+    one-command parser lists every command in its usage line, so usage errors
+    print the same text either way."""
     parser = argparse.ArgumentParser(
         prog="lefschetz-lab",
         description=(
@@ -352,73 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
             "lozenge tilings, and determinants."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    # the full parser keeps the default, which names a bad command "argument command"
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        func, help_text, add_arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        return p
-
-    p = add("hilbert", _cmd_hilbert, "Hilbert function and socle data")
-    p.add_argument("ideal")
-    p.add_argument("--max-degree", type=int, default=None)
-
-    p = add("region", _cmd_region, "triangular region statistics and punctures")
-    p.add_argument("ideal")
-    p.add_argument("--d", type=int, default=None, help="degree (default: first decisive degree)")
-    p.add_argument("--svg", metavar="PATH", default=None)
-    p.add_argument("--ascii", action="store_true")
-
-    p = add("count", _cmd_count, "tiling count and signed enumerations")
-    p.add_argument("ideal")
-    p.add_argument("--d", type=int, default=None, help="degree (default: first decisive degree)")
-    p.add_argument("--svg", metavar="PATH", default=None, help="render the first tiling")
-
-    p = add("wlp", _cmd_wlp, "weak Lefschetz verdicts and bad primes")
-    p.add_argument("ideal")
-    p.add_argument("--primes", type=_prime_list, default=(), help="comma-separated primes to scan")
-    p.add_argument(
-        "--all-primes",
-        action="store_true",
-        help="compute leading divisors at every degree (exact bad primes from scan data)",
-    )
-
-    p = add("ci", _cmd_ci, "complete-intersection classification")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--char", type=int, default=None, help="also report one characteristic")
-
-    p = add("type2", _cmd_type2, "type-2 normal form, verdict, and bounds")
-    p.add_argument("ideal")
-
-    p = add("scan", _cmd_scan, "search for conjecture counterexamples")
-    p.add_argument("--max-exponent", type=_scan_cap, default=4)
-    p.add_argument("--prime-cap", type=_scan_cap, default=13)
-
-    p = add("formula", _cmd_formula, "evaluate a closed-form enumeration")
-    fsub = p.add_subparsers(dest="formula", required=True)
-    f = fsub.add_parser("mac")
-    for name in "abc":
-        f.add_argument(name, type=int)
-    f.add_argument("--json", action="store_true")
-    f = fsub.add_parser("hyper")
-    f.add_argument("n", type=int)
-    f.add_argument("--json", action="store_true")
-    f = fsub.add_parser("splitdet")
-    for name in "pqrmn":
-        f.add_argument(name, type=int)
-    f.add_argument("--json", action="store_true")
-    f = fsub.add_parser("twomahonian")
-    for name in ("a", "b", "c", "alpha", "beta", "d"):
-        f.add_argument(name, type=int)
-    f.add_argument("--json", action="store_true")
+        add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line; each call builds the parser of its subcommand only."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -428,16 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NotArtinianError,
-        NotTypeTwoError,
-        HypothesisError,
-        ExactnessError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, ExactnessError, OSError) as exc:  # every other domain error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import NotArtinianError, ParseError
 
 _MAX_EXPONENT = 10**9
+#: Largest ``d_max`` that ``hilbert_function`` accepts for a non-Artinian quotient.
+MAX_HILBERT_DEGREE = 10**5
 
 _VAR_NAMES = ("x", "y", "z")
 
@@ -385,7 +387,8 @@ def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertF
 
     ``d_max`` defaults to the socle degree plus two, which covers every degree
     a weak Lefschetz check can ever need; the default requires an Artinian
-    ideal.
+    ideal.  A caller's ``d_max`` is clamped to a+b+c-1 for pure powers x^a,
+    y^b, z^c; a non-Artinian quotient refuses one above ``MAX_HILBERT_DEGREE``.
 
     Counted off the staircase without building a monomial: a run (lo, hi,
     width) of the slice z^e holds, in degree e + s, one monomial per i with
@@ -397,6 +400,10 @@ def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertF
         raise ValueError("the unit ideal has no Hilbert function")
     if d_max is None:
         d_max = socle_profile(ideal).socle_degree + 2
+    elif ideal.is_artinian:  # a quotient of R/(x^a, y^b, z^c), which is 0 past degree a+b+c-3
+        d_max = min(d_max, sum(ideal.pure_powers) - 1)
+    elif d_max > MAX_HILBERT_DEGREE:
+        raise ValueError(f"degree {d_max} is above the limit MAX_HILBERT_DEGREE = {MAX_HILBERT_DEGREE}")
     stair = _staircase(ideal)
     second = [0] * (d_max + 1)
     for ez in range(min(d_max + 1, stair.top)):

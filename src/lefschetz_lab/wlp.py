@@ -32,7 +32,8 @@ the generators of degree below d (each cuts a puncture of side d - deg g),
 and a variable permutation maps the region of I onto that of its image,
 reordering the rows and columns of Z without changing its invariant
 factors or the required rank.  The sharing lives in a dict local to the
-call, keyed by ``_region_key``.
+call, keyed by ``_region_key``; each shape's region is reduced and
+dropped (``_shape_factors``), never cached.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ from .ideals import (
 from .intlinalg import factorize, is_probable_prime, region_invariant_factors
 from .formulas import macmahon, type_one_odd_minor
 from .regions import Balance, TriangularRegion, balance, build_region
+
+_fresh_region = build_region.__wrapped__  # uncached; bound at import, past any later wrapper
 
 METHOD_FULL_SCAN = "full-scan"
 METHOD_PEAK = "peak-shortcut"
@@ -118,6 +121,14 @@ def _degree_factors(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, int
     the invariant factors of Z, reduced from the region's sparse rows."""
     region = build_region(ideal, d)
     return region, min(len(region.down), len(region.up)), region_invariant_factors(region)
+
+
+def _shape_factors(ideal: MonomialIdeal, d: int) -> tuple[int, tuple[int, ...]]:
+    """``_degree_factors`` less the region, which is built past the
+    ``build_region`` cache and kept in neither: a conjecture scan reduces
+    each shape once, so a cached region would only hold memory."""
+    region = _fresh_region(ideal, d)
+    return min(len(region.down), len(region.up)), region_invariant_factors(region)
 
 
 def _prime_set(divisors: Iterable[int]) -> tuple[int, ...]:
@@ -611,7 +622,7 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
         for d in _scan_range(ideal):
             key = _region_key(ideal, d, forms)
             if key not in shared:
-                shared[key] = _degree_factors(ideal, d)[1:]
+                shared[key] = _shape_factors(ideal, d)
             required, factors = shared[key]
             if len(factors) < required:
                 raise InternalCheckError(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from lefschetz_lab import build_region, enumerate_tilings, macmahon, parse_ideal, tilings
-from lefschetz_lab.cli import main
+from lefschetz_lab import build_region, cli, enumerate_tilings, macmahon, parse_ideal, tilings
+from lefschetz_lab.cli import COMMANDS, main
+from lefschetz_lab.ideals import MAX_HILBERT_DEGREE, hilbert_function
 from lefschetz_lab.render import render_ascii, render_svg_text
 from lefschetz_lab.reports import wlp_report_from_dict, wlp_report_to_dict
 from lefschetz_lab.wlp import analyze_wlp
@@ -46,6 +48,8 @@ def test_error_messages_name_the_problem():
     assert code == 1 and "Artinian" in err
     code, _, err = run_cli(["count", "x^-1"])
     assert code == 2 and "byte" in err
+    code, _, err = run_cli(["foo"])
+    assert code == 2 and "argument command: invalid choice: 'foo'" in err
 
 
 @pytest.mark.parametrize("flag", ["--max-exponent", "--prime-cap"])
@@ -107,6 +111,107 @@ def test_runs_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(argv)[1]
+
+
+# -- one parser per call -------------------------------------------------------
+
+PARSER_CASES = [
+    *([name, "-h"] for name in COMMANDS),
+    ["ci"],
+    ["ci", "1", "2"],
+    ["hilbert"],
+    ["wlp", "--primes", "2"],
+    ["ci", "1", "x", "3"],
+    ["region", "x^2,y^2,z^2", "--d", "three"],
+    ["scan", "--max-exponent", "1"],
+    ["wlp", "x,y,z", "--primes", "4"],
+    ["ci", "1", "2", "3", "extra"],
+    ["type2", "x^4,y^4,z^4,x^2*z^2", "--json", "extra"],
+    ["wlp", "x^4,y^4,z^4,x^2*z^2", "--prim", "2"],
+    ["wlp", "x^4,y^4,z^4,x^2*z^2", "--all"],
+    ["formula"],
+    ["formula", "mac", "1", "2"],
+    ["formula", "mac", "-h"],
+    ["formula", "nope"],
+    ["formula", "mac", "1", "2", "3", "--json"],
+    ["ci", "2", "2", "2"],
+    ["count", "x^2,y^2,z^2"],
+    [],
+    ["-h"],
+    ["foo"],
+    ["c", "1", "2", "3"],
+    ["--json", "ci", "1", "2", "3"],
+    ["ci", "--json", "ci"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_command_parser_answers_as_the_full_parser(monkeypatch, argv):
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    fast = run_cli(argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+    assert fast == run_cli(argv)
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+
+
+def test_a_call_registers_only_its_subcommand(monkeypatch):
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run_cli(["ci", "6", "7", "8", "--json"])[0] == 0
+    assert added == ["ci"]
+    added.clear()
+    cli.build_parser()
+    assert added == [*COMMANDS, "mac", "hyper", "splitdet", "twomahonian"]
+
+
+def test_repeated_primes_are_scanned_and_reported_once():
+    code, out, _ = run_cli(["wlp", "x^2,y^2,z^2", "--primes", "3,2,3,2"])
+    assert code == 0 and out.count("char 2:") == out.count("char 3:") == 1
+    assert out.splitlines()[-2:] == ["char 3: WLP holds", "char 2: fails at degrees 3"]
+
+
+def test_ci_factorizes_each_enumeration_once(monkeypatch):
+    calls = []
+    real = cli.factorize
+    monkeypatch.setattr(cli, "factorize", lambda n: calls.append(n) or real(n))
+    code, out, _ = run_cli(["ci", "40", "40", "41"])
+    values = json.loads(run_cli(["ci", "40", "40", "41", "--json"])[1])["enumerations"]
+    assert code == 0 and len(values) == 20
+    assert sorted(calls) == sorted(values)
+    shown = out.splitlines()[2].removeprefix("decisive enumerations: ").split(", ")
+    assert [int(item.split(" = ")[0]) for item in shown] == values
+
+
+def test_hilbert_clamps_a_deep_artinian_request():
+    # the values past the socle degree are zeros and are trimmed, so a huge
+    # request must neither allocate its range nor change the answer
+    ideal = parse_ideal("x^2,y^2,z^2")
+    assert hilbert_function(ideal, 10**15) == hilbert_function(ideal) == hilbert_function(ideal, 5)
+    assert hilbert_function(ideal, 1).values == (1, 3)
+    code, out, _ = run_cli(["hilbert", "x^2,y^2,z^2", "--max-degree", "10000000"])
+    assert code == 0 and "hilbert: 1 3 3 1\n" in out
+
+
+def test_hilbert_refuses_a_deep_non_artinian_request_by_name():
+    ideal = parse_ideal("x^3*y,y^5")
+    assert len(hilbert_function(ideal, MAX_HILBERT_DEGREE)) == MAX_HILBERT_DEGREE + 1
+    with pytest.raises(ValueError, match="MAX_HILBERT_DEGREE"):
+        hilbert_function(ideal, 10**15)
+    code, out, err = run_cli(["hilbert", "x^3*y,y^5", "--max-degree", str(MAX_HILBERT_DEGREE + 1)])
+    assert (code, out) == (1, "") and f"MAX_HILBERT_DEGREE = {MAX_HILBERT_DEGREE}" in err
 
 
 # -- README examples are golden tests ------------------------------------------

@@ -36,6 +36,7 @@ from lefschetz_lab.wlp import (
     _rank_dropping_primes,
     _region_key,
     _scan_range,
+    _shape_factors,
     enumerate_type2_ideals,
 )
 from _oracles import (
@@ -391,14 +392,16 @@ def test_conjecture_scan_reduces_each_region_shape_once(monkeypatch):
 
     def spy(ideal, d):
         reduced.append(_shape(ideal, d))
-        return _degree_factors(ideal, d)
+        return _shape_factors(ideal, d)
 
     calls = _count_region_reductions(monkeypatch)
-    monkeypatch.setattr(wlp, "_degree_factors", spy)
+    monkeypatch.setattr(wlp, "_shape_factors", spy)
     assert conjecture_scan(3, 13) == []
     assert (len(admitted), len(shapes)) == (288, 103)
     assert len(calls) == len(reduced) == len(set(reduced)) == len(shapes)
     assert set(reduced) == shapes
+    # each shape is met once, so no region or factor tuple stays cached
+    assert build_region.cache_info().currsize == _degree_factors.cache_info().currsize == 0
 
 
 def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch):
