@@ -42,6 +42,7 @@ from .intlinalg import (
     permanent,
     rank_mod_p,
     rank_q,
+    region_determinant,
     region_invariant_factors,
     smith_invariant_factors,
 )
@@ -53,6 +54,7 @@ from .regions import (
     balance,
     build_region,
     first_tiling,
+    has_floating_puncture,
     is_tileable,
     maximal_minors,
     merge_touching_punctures,

@@ -4,9 +4,10 @@ An ideal's graded pieces are read off its staircase, the height function
 H(i, k) = min{g.ez : g.ex <= i, g.ey <= k} over the generators g (infinite
 where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
 ``hilbert_function`` counts every degree off that table in one pass,
-``standard_monomials`` lists a degree's monomials from it for the triangular
-regions, and ``socle_profile`` reads the socle off its corners, so none of
-them tests a monomial against the generators or builds one just to count it.
+``hilbert_value`` one degree, ``standard_monomials`` lists a degree's
+monomials from it for the triangular regions, and ``socle_profile`` reads
+the socle off its corners, so none of them tests a monomial against the
+generators or builds one just to count it.
 ``MonomialIdeal.__contains__`` remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are
@@ -32,7 +33,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import NotArtinianError, ParseError
 
 _MAX_EXPONENT = 10**9
-#: Largest ``d_max`` that ``hilbert_function`` accepts for a non-Artinian quotient.
+#: Largest ``d_max`` that ``hilbert_function`` accepts, and largest degree the
+#: WLP scan visits.
 MAX_HILBERT_DEGREE = 10**5
 
 _VAR_NAMES = ("x", "y", "z")
@@ -381,6 +383,18 @@ def standard_monomials(ideal: MonomialIdeal, j: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+def hilbert_value(ideal: MonomialIdeal, j: int) -> int:
+    """h(j) alone: the degree-j monomials outside I, counted off the runs
+    that ``standard_monomials`` walks, with no monomial built."""
+    stair = _staircase(ideal)
+    count = 0
+    for ez in range(min(j, stair.top - 1), -1, -1):
+        s = j - ez
+        for lo, hi, width in stair.bands[bisect_right(stair.levels, ez)]:
+            count += max(0, min(hi, s + 1) - max(lo, s - width + 1))
+    return count
+
+
 @functools.lru_cache(maxsize=8192)
 def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertFunction:
     """Hilbert function of R/I: values[j] counts degree-j monomials outside I.
@@ -388,7 +402,8 @@ def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertF
     ``d_max`` defaults to the socle degree plus two, which covers every degree
     a weak Lefschetz check can ever need; the default requires an Artinian
     ideal.  A caller's ``d_max`` is clamped to a+b+c-1 for pure powers x^a,
-    y^b, z^c; a non-Artinian quotient refuses one above ``MAX_HILBERT_DEGREE``.
+    y^b, z^c.  Either way a ``d_max`` above ``MAX_HILBERT_DEGREE`` is
+    refused before anything is allocated.
 
     Counted off the staircase without building a monomial: a run (lo, hi,
     width) of the slice z^e holds, in degree e + s, one monomial per i with
@@ -402,7 +417,7 @@ def hilbert_function(ideal: MonomialIdeal, d_max: int | None = None) -> HilbertF
         d_max = socle_profile(ideal).socle_degree + 2
     elif ideal.is_artinian:  # a quotient of R/(x^a, y^b, z^c), which is 0 past degree a+b+c-3
         d_max = min(d_max, sum(ideal.pure_powers) - 1)
-    elif d_max > MAX_HILBERT_DEGREE:
+    if d_max > MAX_HILBERT_DEGREE:
         raise ValueError(f"degree {d_max} is above the limit MAX_HILBERT_DEGREE = {MAX_HILBERT_DEGREE}")
     stair = _staircase(ideal)
     second = [0] * (d_max + 1)

@@ -6,7 +6,9 @@ question has one kernel:
 
 * determinants: fraction-free Bareiss elimination, whose last pivot is a
   nonzero maximal minor: the primes it leaves undivided keep the rank
-  over Q;
+  over Q.  A region's signed det Z comes from the unit-pivot pass of the
+  Smith kernel below, which also returns the pivot positions and the
+  product of the +-1 pivots; Bareiss finishes only the small remainder;
 * ranks over Q and GF(p) and determinantal divisors: the integer Smith
   form s_1 | s_2 | ... | s_r.  One kernel computes it on sparse rows:
   unit pivots are eliminated first, each adding a factor 1, and the small
@@ -17,8 +19,8 @@ question has one kernel:
   the k-th determinantal divisor is s_1 ... s_k;
 * permanents of 0/1 matrices: a row-by-row dynamic program over the sets
   of used columns, which carries the signed sum of the matchings (the
-  determinant) alongside their count; Bareiss stays the independent check
-  of that signed sum.
+  determinant) alongside their count; the sparse det Z stays the
+  independent check of that signed sum.
 
 Row and column order of the region matrices is globally fixed (ascending
 reverse-lexicographic), so determinant signs are reproducible run to run.
@@ -171,7 +173,7 @@ def matching_counts(matrix: IntMatrix) -> tuple[int, int]:
     """
     if not matrix.is_square:
         raise ValueError("permanent of a non-square matrix")
-    if any(e not in (0, 1) for row in matrix.entries for e in row):
+    if not all(set(row) <= {0, 1} for row in matrix.entries):
         raise ValueError("permanent needs a 0/1 matrix (a bi-adjacency matrix)")
     cap = MAX_LIVE_SETS
     last = [-1] * matrix.cols
@@ -205,7 +207,7 @@ def matching_counts(matrix: IntMatrix) -> tuple[int, int]:
                 elif len(step) < cap:
                     step[nxt] = (ways, term)
                 else:
-                    raise ValueError(f"matching count cap exceeded (more than {cap} live column sets)")
+                    raise ValueError(f"matching count cap exceeded: more than MAX_LIVE_SETS = {cap} live column sets")
         live = step
         if not live:
             return 0, 0
@@ -275,29 +277,74 @@ def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
 def region_invariant_factors(region) -> tuple[int, ...]:
     """Invariant factors of the region's bi-adjacency matrix Z, read from
     ``region.adjacency`` as sparse rows; Z is never built densely."""
-    return _sparse_smith([dict.fromkeys(js, 1) for js in region.adjacency], len(region.up))
+    return _sparse_smith(_region_rows(region), len(region.up))
 
 
-def _sparse_smith(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
-    """Invariant factors of the matrix whose row i maps column -> nonzero
-    entry; consumes ``rows``.
+def region_determinant(region) -> int:
+    """Signed det Z of a balanced region, by the same unit-pivot elimination
+    as its invariant factors; Z is never built densely.
 
-    Unit pivots first: going through the rows in order, a row with a +-1
-    entry takes the one whose column has the fewest live rows, and exact
-    integer row steps clear that column.  Column steps would then clear the
-    pivot row without touching any other row, so the row and the column are
-    dropped and the pivot adds an invariant factor 1.  Passes repeat while
-    fill-in creates new units.  What is left has no unit entry; it is
-    diagonalized by ``_gcd_step_diagonal``, and replacing each pair
-    (s_i, s_j), i < j, of its non-unit diagonal entries by (gcd, lcm), then
-    putting the units first, yields the invariant factors (the Smith form is
-    unique).  Arbitrary precision, so no overflow is possible.
+    Order the rows and the columns pivots first, in elimination order, then
+    the rest ascending.  After the row steps, which keep the determinant, a
+    pivot row is zero in every earlier pivot column and a remaining row in
+    every pivot column, so the reordered matrix is block upper triangular:
+    det Z is the parity of both orders times the product of the +-1 pivots
+    times the Bareiss determinant of the small remainder.
+    """
+    n = len(region.down)
+    if len(region.up) != n:
+        raise ValueError("determinant of a non-square matrix")
+    rows = _region_rows(region)
+    pivots, sign, rest_rows = _unit_pivots(rows, n)
+    pivot_rows, pivot_cols = [i for i, _ in pivots], [j for _, j in pivots]
+    taken = set(pivot_cols)
+    rest_cols = [j for j in range(n) if j not in taken]
+    if len(rest_rows) < len(rest_cols):  # a row became zero
+        return 0
+    sign *= _perm_sign(pivot_rows + rest_rows) * _perm_sign(pivot_cols + rest_cols)
+    remainder = IntMatrix([[rows[i].get(j, 0) for j in rest_cols] for i in rest_rows], cols=len(rest_cols))
+    return sign * determinant(remainder)
+
+
+def _region_rows(region) -> list[dict[int, int]]:
+    return [dict.fromkeys(js, 1) for js in region.adjacency]
+
+
+def _perm_sign(images: Sequence[int]) -> int:
+    """Sign of a permutation given as a list of images, by cycle counting."""
+    seen = [False] * len(images)
+    sign = 1
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _unit_pivots(rows: list[dict[int, int]], cols: int) -> tuple[list[tuple[int, int]], int, list[int]]:
+    """Eliminate unit pivots from the matrix whose row i maps column ->
+    nonzero entry, in place.
+
+    Going through the rows in order, a row with a +-1 entry takes the one
+    whose column has the fewest live rows, and exact integer row steps clear
+    that column; the pivot row is then emptied.  Passes repeat while fill-in
+    creates new units.  Returns the pivot positions (row, column) in
+    elimination order, the product of the pivots, and the rows left
+    nonzero, which hold no unit entry and no pivot column.
     """
     col_rows: list[set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)
-    units = 0
+    pivots: list[tuple[int, int]] = []
+    sign = 1
     live = [i for i, row in enumerate(rows) if row]
     progress = True
     while progress:
@@ -311,11 +358,12 @@ def _sparse_smith(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
             if best is None:
                 continue
             progress = True
-            units += 1
             rows[i] = {}
             for j in row:
                 col_rows[j].discard(i)
             pivot = row.pop(best)
+            pivots.append((i, best))
+            sign *= pivot
             for k in col_rows[best]:
                 other = rows[k]
                 f = other.pop(best) * pivot  # the pivot is its own inverse
@@ -330,6 +378,22 @@ def _sparse_smith(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
                         col_rows[j].discard(k)
             col_rows[best] = set()
         live = [i for i in live if rows[i]]
+    return pivots, sign, live
+
+
+def _sparse_smith(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
+    """Invariant factors of the matrix whose row i maps column -> nonzero
+    entry; consumes ``rows``.
+
+    Unit pivots go first (``_unit_pivots``): column steps would clear each
+    pivot row without touching any other row, so each pivot adds an
+    invariant factor 1.  What is left has no unit entry; it is diagonalized
+    by ``_gcd_step_diagonal``, and replacing each pair (s_i, s_j), i < j, of
+    its non-unit diagonal entries by (gcd, lcm), then putting the units
+    first, yields the invariant factors (the Smith form is unique).
+    Arbitrary precision, so no overflow is possible.
+    """
+    pivots, _, live = _unit_pivots(rows, cols)
     remainder_cols = sorted({j for i in live for j in rows[i]})
     remainder = [[rows[i].get(j, 0) for j in remainder_cols] for i in live]
     diagonal = _gcd_step_diagonal(remainder)
@@ -338,7 +402,7 @@ def _sparse_smith(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
         for j in range(i + 1, len(rest)):
             g = math.gcd(rest[i], rest[j])
             rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return (1,) * (units + len(diagonal) - len(rest)) + tuple(rest)
+    return (1,) * (len(pivots) + len(diagonal) - len(rest)) + tuple(rest)
 
 
 def _gcd_step_diagonal(a: list[list[int]]) -> list[int]:

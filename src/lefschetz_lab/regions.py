@@ -31,6 +31,7 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     Y,
+    hilbert_value,
     monomials_of_degree,
     standard_monomials,
 )
@@ -111,11 +112,25 @@ class TriangularRegion:
         )
 
 
+#: ``build_region`` refuses a region with more triangles than this before
+#: building it.  The Mac(50,50,50) hexagon has 15,000.
+MAX_REGION_TRIANGLES = 30_000
+
+
 @functools.lru_cache(maxsize=4096)
 def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
-    """The degree-d triangular region of R/I."""
+    """The degree-d triangular region of R/I, refused above
+    ``MAX_REGION_TRIANGLES``: the full triangle has d^2 triangles, and past
+    that bound the region's h(d-1) + h(d-2) come off the staircase first."""
     if d < 1:
         raise ValueError("degree must be at least 1")
+    if d * d > MAX_REGION_TRIANGLES:
+        size = hilbert_value(ideal, d - 1) + hilbert_value(ideal, d - 2)
+        if size > MAX_REGION_TRIANGLES:
+            raise ValueError(
+                f"the degree-{d} region has {size} triangles, above the limit "
+                f"MAX_REGION_TRIANGLES = {MAX_REGION_TRIANGLES}"
+            )
     return TriangularRegion(d, standard_monomials(ideal, d - 1), standard_monomials(ideal, d - 2))
 
 
@@ -231,6 +246,46 @@ def puncture_analysis(ideal: MonomialIdeal, d: int) -> tuple[Puncture, ...]:
         )
         for g in gens
     )
+
+
+def has_floating_puncture(region: TriangularRegion) -> bool:
+    """Whether some connected group of missing triangles touches none of the
+    three sides, read off the present triangles alone.
+
+    Missing triangles are connected when they share an edge or a vertex.
+    The groups that touch no side are the holes of the region's interior U,
+    so there are b0(U) - chi(U) of them.  chi(U) counts the open cells of U:
+    the triangles, minus the edges shared by two of them (one per
+    adjacency), plus the vertices off the sides whose six triangles are all
+    present.  On the region of an ideal a group is a union of overlapping
+    or touching punctures, so this agrees with ``puncture_analysis``.
+    """
+    ups, downs = region.up_set, region.down_set
+    inner_vertices = sum(  # the vertex x*m of each up triangle m
+        1
+        for a, b, c in region.up
+        if b and c
+        and (a + 1, b - 1, c) in ups
+        and (a + 1, b, c - 1) in ups
+        and (a, b - 1, c) in downs
+        and (a, b, c - 1) in downs
+        and (a + 1, b - 1, c - 1) in downs
+    )
+    parent = list(range(len(region.up)))
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    components, edges = 0, 0
+    for js in region.adjacency:
+        edges += len(js)
+        components += not js
+        for j in js[1:]:
+            parent[root(j)] = root(js[0])
+    components += sum(1 for j in range(len(parent)) if root(j) == j)
+    return components > len(region.up) + len(region.down) - edges + inner_vertices
 
 
 def merge_touching_punctures(ideal: MonomialIdeal, d: int) -> MonomialIdeal:

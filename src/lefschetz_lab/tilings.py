@@ -17,14 +17,16 @@ each matched pair (n, v*n) is a lozenge.  Two signs are attached to a tiling:
 
 The signed sums over all tilings reproduce, up to one global sign, the
 determinants of the bi-adjacency matrix and of the lattice path matrix.  On a
-balanced region the product of the two signs is the same for every tiling
-(Cook and Nagel), so ``signed_enumeration`` visits no tiling: one signed
-matching count of the bi-adjacency matrix gives the count and the matching
-sum, and one witness tiling gives the constant that turns it into the path
-sum.  ``enumerate_tilings`` streams every tiling by backtracking and serves
-as the test oracle for that shortcut; ``msgn``, ``lpsgn`` and
-``to_path_family`` work on ``Tiling`` objects and check them against the
-region.
+balanced region the product of the two signs is the same for every tiling,
+and on a region without a floating puncture so is the matching sign (Cook
+and Nagel).  So ``signed_enumeration`` visits no tiling: the signed sparse
+elimination of the bi-adjacency matrix gives det Z, which is the matching
+sum and, up to sign, the count unless a puncture floats; only then does a
+signed matching count run.  One witness tiling gives the constant that
+turns the matching sum into the path sum.  ``enumerate_tilings`` streams
+every tiling by backtracking and serves as the test oracle for these
+shortcuts; ``msgn``, ``lpsgn`` and ``to_path_family`` work on ``Tiling``
+objects and check them against the region.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ from typing import Iterable, Iterator, Mapping
 from .errors import InternalCheckError
 from .ideals import Monomial, VARIABLES, Y
 from .intlinalg import (
+    _perm_sign,
     biadjacency,
     determinant,
     lattice_path_matrix,
     lattice_points,
     matching_counts,
+    region_determinant,
 )
 
 
@@ -76,12 +80,12 @@ class PathFamily:
 
 
 def _check_is_tiling(region, tiling: Tiling) -> None:
-    downs = [d for d, _ in tiling.pairs]
-    ups = sorted((u for _, u in tiling.pairs), key=Monomial.revlex_key)
-    if tuple(downs) != region.down or tuple(ups) != region.up:
+    downs = tuple(d for d, _ in tiling.pairs)
+    ups = [u for _, u in tiling.pairs]
+    if downs != region.down or len(ups) != len(region.up) or set(ups) != region.up_set:
         raise ValueError("not a tiling of this region: triangle sets differ")
     for down, up in tiling.pairs:
-        if all(v * down != up for v in VARIABLES):
+        if (up.ex - down.ex, up.ey - down.ey, up.ez - down.ez) not in VARIABLES:
             raise ValueError(f"not a tiling: {down} and {up} are not adjacent")
 
 
@@ -115,32 +119,17 @@ def enumerate_tilings(region) -> Iterator[Tiling]:
     yield from extend(0)
 
 
-def _perm_sign(images: list[int]) -> int:
-    """Sign of a permutation given as a list of images, by cycle counting."""
-    seen = [False] * len(images)
-    sign = 1
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def msgn(region, tiling: Tiling) -> int:
     """Matching sign: parity of down-rank -> up-rank of the partner."""
     if len(region.up) != len(region.down):
         raise ValueError("matching sign needs a balanced region")
     _check_is_tiling(region, tiling)
+    return _matching_sign(region, tiling)
+
+
+def _matching_sign(region, tiling: Tiling) -> int:
     up_rank = {m: j for j, m in enumerate(region.up)}
-    images = [up_rank[up] for _, up in tiling.pairs]
-    return _perm_sign(images)
+    return _perm_sign([up_rank[up] for _, up in tiling.pairs])
 
 
 def to_path_family(region, tiling: Tiling) -> PathFamily:
@@ -154,7 +143,10 @@ def to_path_family(region, tiling: Tiling) -> PathFamily:
     if len(region.up) != len(region.down):
         raise ValueError("path families need a balanced region")
     _check_is_tiling(region, tiling)
-    pts = lattice_points(region)
+    return _path_family(region, tiling, lattice_points(region))
+
+
+def _path_family(region, tiling: Tiling, pts) -> PathFamily:
     up_set = region.up_set
     partner = tiling.up_partner()
     e_index = {label: k for k, (label, _) in enumerate(pts.e_points)}
@@ -212,31 +204,40 @@ class EnumerationReport:
 def signed_enumeration(region) -> EnumerationReport:
     """Count tilings, both signed sums, both determinants, and the permanent.
 
-    No tiling is visited.  One signed matching count of Z gives per Z, which
-    is the tiling count, and the matching sum.  On a balanced region
-    msgn * lpsgn is the same for every tiling, so the path sum is that
-    constant, read off the witness tiling of ``is_tileable``, times the
-    matching sum.  The matching sum must equal det Z and the path sum must
-    match |det N|, both by Bareiss elimination; per Z must be at least |det Z|
-    and of its parity.  A violation is reported as an internal error, never
-    as a result.  A region whose count needs more than
-    ``intlinalg.MAX_LIVE_SETS`` column sets is refused: the cap bounds the
-    work and never turns into an approximation.
+    No tiling is visited.  The signed sparse elimination of Z gives det Z
+    (``intlinalg.region_determinant``).  On a region without a floating
+    puncture (``regions.has_floating_puncture``) every tiling has the same
+    matching sign (Cook and Nagel), so the count and per Z are |det Z| and
+    the matching sum is det Z.  On a region with one, a signed matching
+    count of Z gives per Z, the count, and the matching sum, which must
+    equal det Z; a region whose count needs more than
+    ``intlinalg.MAX_LIVE_SETS`` column sets is refused, never approximated.
+    On a balanced region msgn * lpsgn is the same for every tiling, so the
+    path sum is that constant, read off the witness tiling of
+    ``is_tileable``, times the matching sum; it must match |det N| by
+    Bareiss elimination of the lattice path matrix, and per Z must be at
+    least |det Z| and of its parity.  A violation is reported as an internal
+    error, never as a result.
     """
-    from .regions import is_tileable  # regions imports this module
+    from .regions import has_floating_puncture, is_tileable  # regions imports this module
 
     if len(region.up) != len(region.down):
         raise ValueError("signed enumeration needs a balanced region")
-    z = biadjacency(region)
-    per_z, sum_msgn = matching_counts(z)
+    det_z = region_determinant(region)
+    if has_floating_puncture(region):
+        per_z, sum_msgn = matching_counts(biadjacency(region))
+        if sum_msgn != det_z:
+            raise InternalCheckError(f"sum msgn {sum_msgn} != det Z {det_z}")
+    else:
+        per_z, sum_msgn = abs(det_z), det_z
+    n_matrix, pts = lattice_path_matrix(region)
     witness = is_tileable(region).tiling
-    sign = 0 if witness is None else msgn(region, witness) * lpsgn(region, witness)
+    sign = 0
+    if witness is not None:
+        _check_is_tiling(region, witness)
+        sign = _matching_sign(region, witness) * _perm_sign(_path_family(region, witness, pts).permutation)
     sum_lpsgn = sign * sum_msgn
-    n_matrix, _ = lattice_path_matrix(region)
-    det_z = determinant(z)
     det_n = determinant(n_matrix)
-    if sum_msgn != det_z:
-        raise InternalCheckError(f"sum msgn {sum_msgn} != det Z {det_z}")
     if abs(sum_lpsgn) != abs(det_n):
         raise InternalCheckError(f"|sum lpsgn| {abs(sum_lpsgn)} != |det N| {abs(det_n)}")
     if per_z < abs(det_z) or (per_z - det_z) % 2:

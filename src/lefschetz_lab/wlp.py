@@ -48,6 +48,7 @@ from typing import Iterable
 from .errors import InternalCheckError, NotArtinianError, NotTypeTwoError
 from .ideals import (
     ALL_PERMUTATIONS,
+    MAX_HILBERT_DEGREE,
     Monomial,
     MonomialIdeal,
     Permutation,
@@ -112,7 +113,10 @@ class WlpReport:
 
 def _scan_range(ideal: MonomialIdeal) -> range:
     # beyond socle degree + 2 every graded piece involved is zero
-    return range(1, socle_profile(ideal).socle_degree + 3)
+    top = socle_profile(ideal).socle_degree + 2
+    if top > MAX_HILBERT_DEGREE:
+        raise ValueError(f"degree {top} is above the limit MAX_HILBERT_DEGREE = {MAX_HILBERT_DEGREE}")
+    return range(1, top + 1)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -5,8 +5,9 @@ recursive cofactor expansion instead of fraction-free elimination, explicit
 permutation sums instead of matching counts, all-minors gcds instead of
 Smith reduction, row reduction over fractions and mod p instead of counting
 Smith invariant factors, polynomial multiplication instead of triangle
-adjacency, and a row-by-row plane partition count instead of the box
-formula.
+adjacency, a row-by-row plane partition count instead of the box
+formula, and a flood fill over the missing triangles instead of counting
+the cells of the region.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from lefschetz_lab import (
     IntMatrix,
     Monomial,
     MonomialIdeal,
+    TriangularRegion,
     monomials_of_degree,
 )
 from lefschetz_lab.ideals import VARIABLES
@@ -200,3 +202,50 @@ def random_low_socle_ideal(rng: random.Random, max_power: int, extra: int = 3) -
         b = rng.randint(0, j - a)
         gens.append(Monomial(a, b, j - a - b))
     return MonomialIdeal(gens)
+
+
+def random_floating_ideal(rng: random.Random, max_power: int, extra: int = 3) -> MonomialIdeal:
+    """A random Artinian monomial ideal: pure powers of at least 3 plus one
+    to ``extra`` generators with every exponent positive, whose punctures
+    float unless they overlap or touch a side's puncture."""
+    gens = [Monomial(*(rng.randint(3, max_power) * e for e in v)) for v in VARIABLES]
+    for _ in range(rng.randint(1, extra)):
+        a, b, c = (rng.randint(1, max_power // 2) for _ in range(3))
+        gens.append(Monomial(a, b, c))
+    return MonomialIdeal(gens)
+
+
+def random_balanced_region(rng: random.Random, max_d: int) -> TriangularRegion:
+    """A balanced subregion of the degree-d triangle, d <= max_d, that drops
+    k down triangles and d + k up triangles at random: mostly a few, so it
+    is often tileable and sometimes has a floating hole, and sometimes
+    many, so it is often singular."""
+    d = rng.randint(1, max_d)
+    ups, downs = list(monomials_of_degree(d - 1)), list(monomials_of_degree(d - 2))
+    k = rng.randint(0, len(downs) if rng.random() < 0.3 else min(len(downs), 4))
+    return TriangularRegion(d, rng.sample(ups, len(ups) - d - k), rng.sample(downs, len(downs) - k))
+
+
+def has_floating_group(region: TriangularRegion) -> bool:
+    """Whether some group of missing triangles, linked through shared
+    corners, has no corner on a side (an exponent 0): a flood fill over the
+    corners of every missing triangle of the degree-d triangle."""
+    d = region.d
+    links: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for j, present, corner_steps in (
+        (d - 1, region.up_set, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        (d - 2, region.down_set, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
+    ):
+        for m in monomials_of_degree(j):
+            if m not in present:
+                corners = [tuple(e + s for e, s in zip(m, step)) for step in corner_steps]
+                for v in corners:
+                    links.setdefault(v, []).extend(corners)
+    reached = {v for v in links if 0 in v}
+    frontier = list(reached)
+    while frontier:
+        for w in links[frontier.pop()]:
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return len(reached) < len(links)

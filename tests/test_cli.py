@@ -61,13 +61,51 @@ def test_scan_refuses_caps_that_scan_nothing(flag, value):
 
 
 def test_count_refuses_a_huge_region_before_enumerating(monkeypatch):
-    # Mac(10,10,10): its signed matching count outgrows the live-set cap
+    # the Mac(10,10,10) hexagon with a floating side-2 puncture: its signed
+    # matching count outgrows the live-set cap
     def no_search(region):
         raise AssertionError("the tiling stream must not start")
 
     monkeypatch.setattr(tilings, "enumerate_tilings", no_search)
-    code, _, err = run_cli(["count", "x^20,y^20,z^20", "--d", "30"])
+    code, _, err = run_cli(["count", "x^20,y^20,z^20,x^9*y^9*z^9", "--d", "29"])
     assert code == 1 and "cap" in err
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_count_answers_hexagons_past_the_matching_cap(n):
+    code, out, _ = run_cli(["count", f"x^{2 * n},y^{2 * n},z^{2 * n}", "--d", str(3 * n), "--json"])
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["count"] == payload["per_Z"] == abs(payload["det_N"]) == macmahon(n, n, n)
+
+
+def test_count_runs_the_matching_count_only_where_a_puncture_floats(monkeypatch):
+    calls = []
+
+    def recorded(name):
+        original = getattr(tilings, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("biadjacency", "matching_counts"):
+        monkeypatch.setattr(tilings, name, recorded(name))
+    assert run_cli(["count", "x^4,y^4,z^4", "--d", "6"])[0] == 0
+    assert calls == []
+    assert run_cli(["count", "x^8,y^8,z^8,x^2*y^2*z^2", "--d", "10"])[0] == 0
+    assert calls == ["biadjacency", "matching_counts"]
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["hilbert", "x^3000000,y,z"], "MAX_HILBERT_DEGREE"),
+        (["wlp", "x^400000,y,z^2"], "MAX_HILBERT_DEGREE"),
+        (["ci", "300", "300", "300"], "MAX_REGION_TRIANGLES"),
+        (["count", "x^200,y^200,z^200", "--d", "300"], "MAX_REGION_TRIANGLES"),
+    ],
+)
+def test_oversized_inputs_are_refused_by_name(argv, limit):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "") and limit in err
 
 
 def test_count_answers_without_visiting_tilings():

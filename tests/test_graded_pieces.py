@@ -24,6 +24,7 @@ from lefschetz_lab import (
     socle_profile,
     standard_monomials,
 )
+from lefschetz_lab.ideals import hilbert_value
 
 VARS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 
@@ -91,6 +92,7 @@ def test_hilbert_function_counts_the_standard_monomials_at_depth(case):
     ideal, d_max = case
     expected = HilbertFunction(len(standard_monomials(ideal, j)) for j in range(d_max + 1))
     assert hilbert_function(ideal, d_max) == expected
+    assert [hilbert_value(ideal, j) for j in range(-1, d_max + 1)] == [0, *(expected[j] for j in range(d_max + 1))]
 
 
 def test_hilbert_function_builds_no_monomial(monkeypatch):
@@ -106,7 +108,8 @@ def test_hilbert_function_builds_no_monomial(monkeypatch):
             patched.setattr(ideals, name, forbidden)
         patched.setattr(MonomialIdeal, "__contains__", forbidden)
         h = hilbert_function(ideal, 200)
-    assert h == HilbertFunction(len(standard_monomials(ideal, j)) for j in range(201))
+        values = [hilbert_value(ideal, j) for j in range(201)]
+    assert h == HilbertFunction(len(standard_monomials(ideal, j)) for j in range(201)) == HilbertFunction(values)
 
     # bad primes build the standard monomials of the decisive regions only
     ci = parse_ideal("x^40,y^40,z^40")

@@ -7,17 +7,23 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz_lab import (
     IntMatrix,
+    biadjacency,
     build_region,
+    determinant,
     determinantal_divisor,
+    has_floating_puncture,
     matching_counts,
     parse_ideal,
     permanent,
+    puncture_analysis,
     rank_mod_p,
+    region_determinant,
     region_invariant_factors,
     smith_invariant_factors,
 )
@@ -27,10 +33,13 @@ from _oracles import (
     all_minors_divisor,
     cofactor_determinant,
     fraction_rank,
+    has_floating_group,
     multiplication_matrix,
     permutation_permanent,
     plain_rank_mod,
     random_artinian_ideal,
+    random_balanced_region,
+    random_floating_ideal,
 )
 
 # small, word-size-boundary, and far-above-int64 primes
@@ -189,3 +198,35 @@ def test_empty_shapes_have_no_factors():
     empty_side = build_region(parse_ideal("x^4,y^4,z^4,x^2z^2"), 1)
     assert (len(empty_side.down), len(empty_side.up)) == (0, 1)
     assert region_invariant_factors(empty_side) == ()
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_region_determinant_matches_dense_bareiss(seed):
+    # the signed det Z of the unit-pivot elimination, singular regions included
+    region = random_balanced_region(random.Random(seed), 8)
+    assert region_determinant(region) == determinant(biadjacency(region))
+
+
+def test_region_determinant_of_a_hexagon_and_a_non_square_region():
+    hexagon = build_region(parse_ideal("x^4,y^4,z^4"), 6)
+    assert region_determinant(hexagon) == determinant(biadjacency(hexagon)) == 20
+    with pytest.raises(ValueError, match="non-square"):
+        region_determinant(build_region(parse_ideal("x^4,y^4,z^4,x^2z^2"), 5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_floating_test_matches_a_flood_fill(seed):
+    region = random_balanced_region(random.Random(seed), 10)
+    assert has_floating_puncture(region) == has_floating_group(region)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(1, 3), floating=st.booleans())
+def test_floating_test_matches_puncture_analysis(seed, extra, floating):
+    draw = random_floating_ideal if floating else random_artinian_ideal
+    ideal = draw(random.Random(seed), 8, extra)
+    for d in range(1, 16):
+        expected = any(p.floating for p in puncture_analysis(ideal, d))
+        assert has_floating_puncture(build_region(ideal, d)) == expected, (str(ideal), d)

@@ -13,16 +13,19 @@ from lefschetz_lab import (
     determinant,
     enumerate_tilings,
     first_tiling,
+    has_floating_puncture,
     lpsgn,
+    matching_counts,
     msgn,
     parse_ideal,
     permanent,
+    region_determinant,
     signed_enumeration,
     tiling_from_path_family,
     to_path_family,
 )
 from lefschetz_lab import intlinalg
-from _oracles import random_artinian_ideal
+from _oracles import random_artinian_ideal, random_balanced_region, random_floating_ideal
 
 FIG3 = "x^7,y^7,z^6,x*y^4*z^2,x^3*y*z^2,x^4*y*z"
 
@@ -130,13 +133,14 @@ def test_signed_enumeration_needs_balance():
 
 
 def test_signed_enumeration_count_cap(monkeypatch):
-    hexagon = build_region(parse_ideal("x^4,y^4,z^4"), 6)  # 20 tilings
-    # its signed matching count keeps at most 6 live column sets at once
-    monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 5)
+    # a hexagon with a floating side-2 puncture: 324 tilings
+    punctured = build_region(parse_ideal("x^8,y^8,z^8,x^2*y^2*z^2"), 10)
+    # its signed matching count keeps at most 18 live column sets at once
+    monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 17)
     with pytest.raises(ValueError, match="cap"):
-        signed_enumeration(hexagon)
-    monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 6)
-    assert signed_enumeration(hexagon).count == 20
+        signed_enumeration(punctured)
+    monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 18)
+    assert signed_enumeration(punctured).count == 324
 
 
 def test_hexagon_family_enumeration():
@@ -163,6 +167,28 @@ def test_signed_enumeration_matches_public_signs(seed, extra):
         assert rep.count == len(stream)
         assert rep.sum_msgn == sum(msgn(region, t) for t in stream)
         assert rep.sum_lpsgn == sum(lpsgn(region, t) for t in stream)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_det_z_counts_the_tilings_where_no_puncture_floats(seed):
+    # the theorem behind the count, on regions no ideal need cut out
+    region = random_balanced_region(random.Random(seed), 8)
+    per_z, sum_msgn = matching_counts(biadjacency(region))
+    if not has_floating_puncture(region):
+        assert (per_z, sum_msgn) == (abs(region_determinant(region)), region_determinant(region))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), extra=st.integers(1, 3), floating=st.booleans())
+def test_count_is_the_matching_count(seed, extra, floating):
+    draw = random_floating_ideal if floating else random_artinian_ideal
+    ideal = draw(random.Random(seed), 8, extra)
+    for d in range(2, 16):
+        region = build_region(ideal, d)
+        if len(region.up) == len(region.down):
+            rep = signed_enumeration(region)
+            assert (rep.count, rep.sum_msgn) == matching_counts(biadjacency(region)), (str(ideal), d)
 
 
 @settings(max_examples=300, deadline=None)
