@@ -3,11 +3,11 @@
 An ideal's graded pieces are read off its staircase, the height function
 H(i, k) = min{g.ez : g.ex <= i, g.ey <= k} over the generators g (infinite
 where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
-``hilbert_function`` counts every degree off that table in one pass,
-``hilbert_value`` one degree, ``standard_monomials`` lists a degree's
-monomials from it for the triangular regions, and ``socle_profile`` reads
-the socle off its corners, so none of them tests a monomial against the
-generators or builds one just to count it.
+``hilbert_function`` counts every degree off that table in one pass and
+``socle_profile`` reads the socle off its corners.  One walk over a degree's
+runs, ``_degree_runs``, serves ``hilbert_value``, ``standard_monomials`` (for
+the triangular regions) and ``regions.degree_rows`` (the WLP scan's matrix
+rows); none of them tests a monomial against the generators.
 ``MonomialIdeal.__contains__`` remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are
@@ -363,36 +363,26 @@ def _staircase(ideal: MonomialIdeal) -> _Staircase:
     )
 
 
-@functools.lru_cache(maxsize=8192)
-def standard_monomials(ideal: MonomialIdeal, j: int) -> tuple[Monomial, ...]:
-    """The degree-j monomials outside I, in ascending reverse-lexicographic order.
-
-    Ascending revlex runs through the z exponent downwards and, at each, the
-    x exponent upwards; every run of the staircase slice at that z exponent
-    contributes one interval of x exponents, so the work is proportional to
-    the output plus the slices visited.
-    """
-    if j < 0:
-        return ()
+def _degree_runs(ideal: MonomialIdeal, j: int) -> Iterator[tuple[int, list[range]]]:
+    """The degree-j monomials x^i y^(j-e-i) z^e outside I in ascending revlex
+    order: each e from the top down, with the ascending ranges of their i,
+    one per staircase run and possibly empty."""
     stair = _staircase(ideal)
-    out = []
+    bands, levels = stair.bands, stair.levels
     for ez in range(min(j, stair.top - 1), -1, -1):
         s = j - ez
-        for lo, hi, width in stair.bands[bisect_right(stair.levels, ez)]:
-            out.extend(Monomial(ex, s - ex, ez) for ex in range(max(lo, s - width + 1), min(hi, s + 1)))
-    return tuple(out)
+        yield ez, [range(max(lo, s - width + 1), min(hi, s + 1)) for lo, hi, width in bands[bisect_right(levels, ez)]]
+
+
+def standard_monomials(ideal: MonomialIdeal, j: int) -> tuple[Monomial, ...]:
+    """The degree-j monomials outside I in ascending revlex order, listed off
+    ``_degree_runs`` in time proportional to the output plus the slices."""
+    return tuple(Monomial(i, j - ez - i, ez) for ez, runs in _degree_runs(ideal, j) for run in runs for i in run)
 
 
 def hilbert_value(ideal: MonomialIdeal, j: int) -> int:
-    """h(j) alone: the degree-j monomials outside I, counted off the runs
-    that ``standard_monomials`` walks, with no monomial built."""
-    stair = _staircase(ideal)
-    count = 0
-    for ez in range(min(j, stair.top - 1), -1, -1):
-        s = j - ez
-        for lo, hi, width in stair.bands[bisect_right(stair.levels, ez)]:
-            count += max(0, min(hi, s + 1) - max(lo, s - width + 1))
-    return count
+    """h(j) alone: the runs of ``_degree_runs`` counted, no monomial built."""
+    return sum(len(run) for _, runs in _degree_runs(ideal, j) for run in runs)
 
 
 @functools.lru_cache(maxsize=8192)

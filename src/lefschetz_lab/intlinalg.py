@@ -266,18 +266,18 @@ def rank_mod_p(matrix: IntMatrix, p: int) -> int:
 def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     """Nonnegative invariant factors s_1 | s_2 | ... of the integer Smith form.
 
-    The rows become sparse rows and go through ``_sparse_smith``, the one
-    Smith kernel, which region matrices also reach straight from their
-    adjacency (``region_invariant_factors``).
+    The rows become sparse rows and go through ``sparse_invariant_factors``,
+    the one Smith kernel, which region matrices also reach straight from
+    their adjacency (``region_invariant_factors``) or from ``degree_rows``.
     """
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
-    return _sparse_smith(rows, matrix.cols)
+    return sparse_invariant_factors(rows, matrix.cols)
 
 
 def region_invariant_factors(region) -> tuple[int, ...]:
     """Invariant factors of the region's bi-adjacency matrix Z, read from
     ``region.adjacency`` as sparse rows; Z is never built densely."""
-    return _sparse_smith(_region_rows(region), len(region.up))
+    return sparse_invariant_factors(_region_rows(region), len(region.up))
 
 
 def region_determinant(region) -> int:
@@ -381,7 +381,7 @@ def _unit_pivots(rows: list[dict[int, int]], cols: int) -> tuple[list[tuple[int,
     return pivots, sign, live
 
 
-def _sparse_smith(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
+def sparse_invariant_factors(rows: list[dict[int, int]], cols: int) -> tuple[int, ...]:
     """Invariant factors of the matrix whose row i maps column -> nonzero
     entry; consumes ``rows``.
 

@@ -6,9 +6,10 @@ monomial outside I; a downward triangle n is adjacent to the upward triangles
 x*n, y*n, z*n.  ``build_region`` reads both label sets from
 ``standard_monomials``, and ``TriangularRegion.adjacency`` is the one map from
 downward triangles to the indices of their upward neighbours; matchings,
-tilings and the bi-adjacency matrix all read it.  Everything here is label
-arithmetic on exponents; no floating-point geometry exists outside the SVG
-emitter.
+tilings and the bi-adjacency matrix all read it.  ``degree_rows`` reads the
+same rows off the staircase, with no label built, for the WLP scan.
+Everything here is label arithmetic on exponents; no floating-point
+geometry exists outside the SVG emitter.
 
 Each minimal generator g of degree at most d-1 cuts an upward-pointing
 triangular puncture of side d - deg(g) out of the full region.  Two punctures
@@ -31,6 +32,7 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     Y,
+    _degree_runs,
     hilbert_value,
     monomials_of_degree,
     standard_monomials,
@@ -112,16 +114,15 @@ class TriangularRegion:
         )
 
 
-#: ``build_region`` refuses a region with more triangles than this before
-#: building it.  The Mac(50,50,50) hexagon has 15,000.
+#: ``check_region_size`` refuses a region with more triangles than this
+#: before it is built or read.  The Mac(50,50,50) hexagon has 15,000.
 MAX_REGION_TRIANGLES = 30_000
 
 
-@functools.lru_cache(maxsize=4096)
-def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
-    """The degree-d triangular region of R/I, refused above
-    ``MAX_REGION_TRIANGLES``: the full triangle has d^2 triangles, and past
-    that bound the region's h(d-1) + h(d-2) come off the staircase first."""
+def check_region_size(ideal: MonomialIdeal, d: int) -> None:
+    """The one check before the degree-d region of I is built or read: the
+    full triangle has d^2 triangles, and past ``MAX_REGION_TRIANGLES`` the
+    region's h(d-1) + h(d-2) come off the staircase first."""
     if d < 1:
         raise ValueError("degree must be at least 1")
     if d * d > MAX_REGION_TRIANGLES:
@@ -131,7 +132,36 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
                 f"the degree-{d} region has {size} triangles, above the limit "
                 f"MAX_REGION_TRIANGLES = {MAX_REGION_TRIANGLES}"
             )
+
+
+@functools.lru_cache(maxsize=4096)
+def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
+    """The degree-d triangular region of R/I, refused above ``MAX_REGION_TRIANGLES``."""
+    check_region_size(ideal, d)
     return TriangularRegion(d, standard_monomials(ideal, d - 1), standard_monomials(ideal, d - 2))
+
+
+def degree_rows(ideal: MonomialIdeal, d: int) -> tuple[int, list[dict[int, int]]]:
+    """The number of up triangles of the degree-d region and the rows of
+    ``build_region(ideal, d).adjacency`` as sparse rows of Z, key order
+    included, read off the staircase runs with no label built or sorted.
+    Each slice z^e maps the x exponents of its up triangles to their
+    indices; down n = x^i y^k z^e meets x*n and y*n at i+1 and i in slice
+    z^e, z*n at i in slice z^(e+1); absent ones land on the key None, dropped."""
+    check_region_size(ideal, d)
+    index: dict[int, dict[int, int]] = {}  # slice z^e: x exponent -> up index
+    n_up = 0
+    for ez, runs in _degree_runs(ideal, d - 1):
+        index[ez] = dict(zip(itertools.chain.from_iterable(runs), itertools.count(n_up)))
+        n_up += len(index[ez])
+    rows = []
+    for ez, runs in _degree_runs(ideal, d - 2):
+        same, above = index.get(ez, {}).get, index.get(ez + 1, {}).get
+        for i in itertools.chain.from_iterable(runs):
+            row = {same(i + 1): 1, same(i): 1, above(i): 1}
+            row.pop(None, None)
+            rows.append(row)
+    return n_up, rows
 
 
 @dataclass(frozen=True)
@@ -141,11 +171,14 @@ class Balance:
     kind: str
     excess: int
 
+    @classmethod
+    def of(cls, nu: int, nd: int) -> "Balance":
+        kind = UP_HEAVY if nu > nd else DOWN_HEAVY if nd > nu else BALANCED
+        return cls(nu, nd, kind, abs(nu - nd))
+
 
 def balance(region: TriangularRegion) -> Balance:
-    nu, nd = len(region.up), len(region.down)
-    kind = UP_HEAVY if nu > nd else DOWN_HEAVY if nd > nu else BALANCED
-    return Balance(nu, nd, kind, abs(nu - nd))
+    return Balance.of(len(region.up), len(region.down))
 
 
 def monomial_subregion(region: TriangularRegion, m: Monomial) -> TriangularRegion:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .ideals import MonomialIdeal, parse_ideal
-from .regions import balance, build_region, is_tileable, puncture_analysis
+from .ideals import MonomialIdeal, hilbert_value, parse_ideal
+from .regions import Balance, balance, build_region, is_tileable, puncture_analysis
 from .tilings import EnumerationReport
 from .wlp import DegreeReport, WlpReport
 
@@ -53,7 +53,7 @@ def wlp_report_from_dict(payload: dict[str, Any]) -> WlpReport:
             rank_q=entry["rank_q"],
             rank_mod={int(p): r for p, r in entry["rank_mod"].items()},
             leading_divisor=entry["leading_divisor"],
-            region_stats=balance(build_region(ideal, entry["d"])),
+            region_stats=Balance.of(hilbert_value(ideal, entry["d"] - 1), hilbert_value(ideal, entry["d"] - 2)),
         )
         for entry in payload["degrees"]
     )

@@ -15,16 +15,17 @@ divisors of the decisive matrices; that set is finite and is computed
 exactly, never by scanning a prime range.
 
 Each degree is reduced once per run: ``_degree_factors`` caches the
-degree-d region, the rank min(rows, cols) of its bi-adjacency matrix Z that
-maximal rank requires, and the invariant factors of Z, which
-``region_invariant_factors`` reads straight from the region's adjacency as
-sparse rows; no dense Z is built.  ``wlp_full_scan`` and ``bad_primes`` read
-every rank and leading divisor off those factors.  Degrees where one side of
-the region is empty need no branch: their ranks are 0 and their leading
-divisor is 1.  ``bad_primes`` is the one source of bad primes; the
-all-degree set of the ``divisors=True`` scan (``--all-primes``) is its
-runtime check.  ``conjecture_scan`` reads the same factors: a prime lowers
-the rank of Z over GF(p) exactly when it divides the last one.
+numbers of up and down triangles of the degree-d region, whose minimum is
+the rank of its bi-adjacency matrix Z that maximal rank requires, and the
+invariant factors of Z, reduced from the sparse rows ``degree_rows`` reads
+off the staircase; no region, label or dense Z is built.  ``wlp_full_scan``
+and ``bad_primes`` read every rank and leading divisor off those factors.
+Degrees where one side of the region is empty need no branch: their ranks
+are 0 and their leading divisor is 1.  ``bad_primes`` is the one source of
+bad primes; the all-degree set of the ``divisors=True`` scan
+(``--all-primes``) is its runtime check.  ``conjecture_scan`` reads the
+same factors: a prime lowers the rank of Z over GF(p) exactly when it
+divides the last one.
 
 Across the ideals of one conjecture scan, each region shape is reduced
 once.  Two invariances make that exact: the degree-d region depends only on
@@ -32,8 +33,8 @@ the generators of degree below d (each cuts a puncture of side d - deg g),
 and a variable permutation maps the region of I onto that of its image,
 reordering the rows and columns of Z without changing its invariant
 factors or the required rank.  The sharing lives in a dict local to the
-call, keyed by ``_region_key``; each shape's region is reduced and
-dropped (``_shape_factors``), never cached.
+call, keyed by ``_region_key``; each shape is reduced by the uncached
+``_shape_factors``.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ from .ideals import (
     hilbert_function,
     socle_profile,
 )
-from .intlinalg import factorize, is_probable_prime, region_invariant_factors
+from .intlinalg import factorize, is_probable_prime, sparse_invariant_factors
 from .formulas import macmahon, type_one_odd_minor
-from .regions import Balance, TriangularRegion, balance, build_region
-
-_fresh_region = build_region.__wrapped__  # uncached; bound at import, past any later wrapper
+from .regions import Balance, check_region_size, degree_rows
 
 METHOD_FULL_SCAN = "full-scan"
 METHOD_PEAK = "peak-shortcut"
@@ -120,19 +119,14 @@ def _scan_range(ideal: MonomialIdeal) -> range:
 
 
 @functools.lru_cache(maxsize=4096)
-def _degree_factors(ideal: MonomialIdeal, d: int) -> tuple[TriangularRegion, int, tuple[int, ...]]:
-    """The degree-d region, the rank of Z that maximal rank requires, and
-    the invariant factors of Z, reduced from the region's sparse rows."""
-    region = build_region(ideal, d)
-    return region, min(len(region.down), len(region.up)), region_invariant_factors(region)
+def _degree_factors(ideal: MonomialIdeal, d: int) -> tuple[int, int, tuple[int, ...]]:
+    """The numbers h(d-1) and h(d-2) of up and down triangles of the
+    degree-d region and the invariant factors of its matrix Z."""
+    n_up, rows = degree_rows(ideal, d)
+    return n_up, len(rows), sparse_invariant_factors(rows, n_up)
 
 
-def _shape_factors(ideal: MonomialIdeal, d: int) -> tuple[int, tuple[int, ...]]:
-    """``_degree_factors`` less the region, which is built past the
-    ``build_region`` cache and kept in neither: a conjecture scan reduces
-    each shape once, so a cached region would only hold memory."""
-    region = _fresh_region(ideal, d)
-    return min(len(region.down), len(region.up)), region_invariant_factors(region)
+_shape_factors = _degree_factors.__wrapped__  # a conjecture scan reduces each shape once
 
 
 def _prime_set(divisors: Iterable[int]) -> tuple[int, ...]:
@@ -157,17 +151,24 @@ def wlp_full_scan(
     s_r of one Smith form per degree: the rank over Q is r, the rank over
     GF(p) counts the s_i that p does not divide, and the leading divisor is
     the product of the factors when there are ``required`` of them, else 0.
+    p divides no unit factor, so only the rest are tested.  An oversized
+    region is refused before any degree is reduced.
     """
     if not ideal.is_artinian:
         raise NotArtinianError(f"ideal ({ideal}) is not Artinian")
+    degrees = _scan_range(ideal)
+    for d in degrees:
+        check_region_size(ideal, d)
     reports = []
-    for d in _scan_range(ideal):
-        region, required, factors = _degree_factors(ideal, d)
-        rmod = {p: sum(1 for s in factors if s % p) for p in primes}
+    for d in degrees:
+        n_up, n_down, factors = _degree_factors(ideal, d)
+        required = min(n_up, n_down)
+        units = factors.count(1)
+        rmod = {p: units + sum(1 for s in factors[units:] if s % p) for p in primes}
         divisor = None
         if divisors:
             divisor = math.prod(factors) if len(factors) == required else 0
-        reports.append(DegreeReport(d, required, len(factors), rmod, divisor, balance(region)))
+        reports.append(DegreeReport(d, required, len(factors), rmod, divisor, Balance.of(n_up, n_down)))
     holds = all(r.ok_char0 for r in reports)
     bad = _prime_set(r.leading_divisor for r in reports) if divisors and holds else None
     return WlpReport(ideal, tuple(reports), holds, bad, METHOD_FULL_SCAN)
@@ -247,8 +248,8 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
     degrees = shortcut.degrees if shortcut else tuple(_scan_range(ideal))
     divisors = []
     for d in degrees:
-        _, required, factors = _degree_factors(ideal, d)
-        if len(factors) < required:  # every required-size minor vanishes
+        n_up, n_down, factors = _degree_factors(ideal, d)
+        if len(factors) < min(n_up, n_down):  # every required-size minor vanishes
             raise ValueError(
                 "bad primes are undefined: the property already fails in "
                 f"characteristic zero (degree {d})"
@@ -627,7 +628,8 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
             key = _region_key(ideal, d, forms)
             if key not in shared:
                 shared[key] = _shape_factors(ideal, d)
-            required, factors = shared[key]
+            n_up, n_down, factors = shared[key]
+            required = min(n_up, n_down)
             if len(factors) < required:
                 raise InternalCheckError(
                     f"type-2 verdict says ({ideal}) has the property, but degree {d} "

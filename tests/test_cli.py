@@ -101,11 +101,52 @@ def test_count_runs_the_matching_count_only_where_a_puncture_floats(monkeypatch)
         (["wlp", "x^400000,y,z^2"], "MAX_HILBERT_DEGREE"),
         (["ci", "300", "300", "300"], "MAX_REGION_TRIANGLES"),
         (["count", "x^200,y^200,z^200", "--d", "300"], "MAX_REGION_TRIANGLES"),
+        (["wlp", "x^200,y^200,z^200"], "MAX_REGION_TRIANGLES"),
     ],
 )
 def test_oversized_inputs_are_refused_by_name(argv, limit):
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "") and limit in err
+
+
+def test_oversized_wlp_is_refused_before_any_reduction(monkeypatch):
+    from lefschetz_lab import wlp
+
+    monkeypatch.setattr(wlp, "degree_rows", lambda ideal, d: pytest.fail(f"reduced degree {d}"))
+    code, out, err = run_cli(["wlp", "x^200,y^200,z^200"])
+    assert (code, out) == (1, "")
+    assert err == "error: the degree-174 region has 30276 triangles, above the limit MAX_REGION_TRIANGLES = 30000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wlp", "x^4,y^4,z^4,x^2*z^2", "--primes", "2,3,5", "--all-primes"],  # type two
+        ["wlp", "x^3,y^4,z^5", "--primes", "2,3", "--json"],  # type one
+        ["wlp", "x^4,y^4,z^4,xyz", "--all-primes"],  # twin peak
+        ["wlp", "x^5,y^5,z^5,x^2y^2,x^2z^2,y^2z^2"],  # peak shortcut
+        ["wlp", "x^4,y^5,z^7,x^2y,x^3z", "--primes", "2"],  # full scan
+        ["ci", "6", "7", "8", "--char", "7"],
+        ["ci", "5", "5", "5", "--json"],
+        ["scan", "--max-exponent", "3", "--json"],
+    ],
+)
+def test_wlp_ci_and_scan_build_no_region(monkeypatch, argv):
+    # their degrees are reduced from the rows ``degree_rows`` reads off the
+    # staircase: no region, no standard monomial list
+    import lefschetz_lab
+    from lefschetz_lab import ideals, regions, reports
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} built a region or listed standard monomials")
+
+    monkeypatch.setattr(regions.TriangularRegion, "__init__", forbidden)
+    for module in (lefschetz_lab, ideals, regions, reports, cli):
+        for name in ("build_region", "standard_monomials"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_count_answers_without_visiting_tilings():

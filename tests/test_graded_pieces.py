@@ -1,12 +1,13 @@
 """Property tests: every graded piece read off ``standard_monomials`` and
-``TriangularRegion.adjacency`` matches brute-force membership filtering, and
-the Hilbert function counted off the staircase matches ``standard_monomials``
-at depth."""
+``TriangularRegion.adjacency`` matches brute-force membership filtering, the
+rows ``degree_rows`` reads off the staircase are those of the built region,
+and the Hilbert function counted off the staircase matches
+``standard_monomials`` at depth."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefschetz_lab import (
@@ -17,7 +18,9 @@ from lefschetz_lab import (
     bad_primes,
     biadjacency,
     build_region,
+    factorize,
     hilbert_function,
+    macmahon,
     monomials_of_degree,
     parse_ideal,
     peak_shortcut,
@@ -25,6 +28,8 @@ from lefschetz_lab import (
     standard_monomials,
 )
 from lefschetz_lab.ideals import hilbert_value
+from lefschetz_lab.intlinalg import _region_rows
+from lefschetz_lab.regions import degree_rows
 
 VARS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 
@@ -72,6 +77,30 @@ def test_graded_pieces_match_membership_filtering(ideal, d_max, d):
         assert [j for j, e in enumerate(row) if e] == sorted(neighbours)
 
 
+artinian_ideals = st.builds(
+    lambda a, b, c, extra: MonomialIdeal([Monomial(a, 0, 0), Monomial(0, b, 0), Monomial(0, 0, c), *extra]),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.lists(generator, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal=st.one_of(ideals, artinian_ideals), d=st.integers(min_value=1, max_value=14))
+@example(ideal=parse_ideal("x,y,z"), d=1)  # no down triangle
+@example(ideal=parse_ideal("x,y,z"), d=2)  # no up triangle
+@example(ideal=parse_ideal("x^2,y^2,z^2"), d=6)  # neither
+@example(ideal=MonomialIdeal(()), d=2)  # the full triangle
+@example(ideal=parse_ideal("x^2*y^2"), d=12)  # slices with gaps
+def test_degree_rows_are_the_rows_of_the_built_region(ideal, d):
+    n_up, rows = degree_rows(ideal, d)
+    expected = _region_rows(build_region(ideal, d))
+    assert rows == expected
+    assert [list(row) for row in rows] == [list(row) for row in expected]  # key order: x*n, y*n, z*n
+    assert (n_up, len(rows)) == (hilbert_value(ideal, d - 1), hilbert_value(ideal, d - 2))
+
+
 @st.composite
 def deep_ideals(draw):
     """Up to three pure powers (each up to 40, or absent) and up to six
@@ -111,16 +140,17 @@ def test_hilbert_function_builds_no_monomial(monkeypatch):
         values = [hilbert_value(ideal, j) for j in range(201)]
     assert h == HilbertFunction(len(standard_monomials(ideal, j)) for j in range(201)) == HilbertFunction(values)
 
-    # bad primes build the standard monomials of the decisive regions only
+    # bad primes read the decisive regions' rows off the staircase too: past
+    # the socle, whose monomials are its answer, they build no monomial
     ci = parse_ideal("x^40,y^40,z^40")
-    listed = []
-
-    def counted(ideal, j):
-        listed.append(j)
-        return standard_monomials(ideal, j)
-
-    monkeypatch.setattr(regions, "standard_monomials", counted)
-    monkeypatch.setattr(ideals, "standard_monomials", counted)
-    assert bad_primes(ci)
-    decisive = peak_shortcut(ci).degrees
-    assert sorted(listed) == sorted(j for d in decisive for j in (d - 2, d - 1))
+    socle_profile(ci)
+    with monkeypatch.context() as patched:
+        for name in ("Monomial", "standard_monomials", "monomials_of_degree"):
+            patched.setattr(ideals, name, forbidden)
+        for name in ("build_region", "TriangularRegion"):
+            patched.setattr(regions, name, forbidden)
+        patched.setattr(MonomialIdeal, "__contains__", forbidden)
+        primes = bad_primes(ci)
+    # one decisive degree, the hexagon Mac(20, 20, 20)
+    assert peak_shortcut(ci).degrees == (60,)
+    assert primes == tuple(sorted(factorize(macmahon(20, 20, 20))))

@@ -86,23 +86,24 @@ def test_full_scan_divisors_pin_bad_primes():
 
 
 def _count_region_reductions(monkeypatch) -> list:
-    """Count ``wlp``'s per-degree Smith reductions; make every dense region
-    matrix, every ``IntMatrix`` and every other rank or divisor kernel
-    raise on the way."""
-    from lefschetz_lab import intlinalg, wlp
+    """Record the degree of each of ``wlp``'s per-degree reductions, which
+    read their rows off ``degree_rows``; make every dense region matrix,
+    every ``IntMatrix`` and every other rank or divisor kernel raise on the
+    way."""
+    from lefschetz_lab import intlinalg, regions, wlp
 
     calls = []
 
-    def counted(region):
-        calls.append(region)
-        return intlinalg.region_invariant_factors(region)
+    def counted(ideal, d):
+        calls.append(d)
+        return regions.degree_rows(ideal, d)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the scan built a dense matrix or ran a second kernel")
 
-    monkeypatch.setattr(wlp, "region_invariant_factors", counted)
+    monkeypatch.setattr(wlp, "degree_rows", counted)
     for module in (wlp, intlinalg):
-        for name in ("biadjacency", "smith_invariant_factors", "bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
+        for name in ("biadjacency", "region_invariant_factors", "smith_invariant_factors", "bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(intlinalg.IntMatrix, "__init__", forbidden)
@@ -336,8 +337,10 @@ def _dropping_primes_agree_with_modular_ranks(ideal) -> int:
     the degrees of full rank over Q where some prime drops the rank."""
     dropped = 0
     for d in _scan_range(ideal):
-        region, required, factors = _degree_factors(ideal, d)
-        z = biadjacency(region)
+        n_up, n_down, factors = _degree_factors(ideal, d)
+        required = min(n_up, n_down)
+        z = biadjacency(build_region(ideal, d))
+        assert (z.cols, z.rows) == (n_up, n_down)
         expected = [p for p in PRIMES_TO_31 if plain_rank_mod(z, p) < required]
         if len(factors) < required:  # short over Q: short at every prime
             assert expected == PRIMES_TO_31, (str(ideal), d)
@@ -352,8 +355,8 @@ def test_rank_certificate_matches_modular_ranks_on_the_type2_grid():
     # skips, so real rank drops occur
     assert sum(_dropping_primes_agree_with_modular_ranks(ideal) for ideal in enumerate_type2_ideals(4))
     # the worked example has bad prime 2, which drops the rank at degree 5
-    _, required, factors = _degree_factors(parse_ideal(EXA), 5)
-    assert len(factors) == required
+    n_up, n_down, factors = _degree_factors(parse_ideal(EXA), 5)
+    assert len(factors) == min(n_up, n_down)
     assert _rank_dropping_primes(factors, (2, 3)) == [2]
 
 
@@ -496,7 +499,7 @@ def test_ci_reduces_only_its_decisive_degrees(monkeypatch, capsys):
 
     calls = _count_region_reductions(monkeypatch)
     assert main(["ci", "6", "7", "8", "--json"]) == 0
-    assert [r.d for r in calls] == [10, 11]  # the two degrees of the strict peak
+    assert calls == [10, 11]  # the two degrees of the strict peak
     assert json.loads(capsys.readouterr().out)["bad_primes"] == [2, 3, 7]
 
 
