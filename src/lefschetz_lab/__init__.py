@@ -54,7 +54,6 @@ from .regions import (
     balance,
     build_region,
     first_tiling,
-    has_floating_puncture,
     is_tileable,
     maximal_minors,
     merge_touching_punctures,

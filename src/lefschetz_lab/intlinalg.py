@@ -6,9 +6,11 @@ question has one kernel:
 
 * determinants: fraction-free Bareiss elimination, whose last pivot is a
   nonzero maximal minor: the primes it leaves undivided keep the rank
-  over Q.  A region's signed det Z comes from the unit-pivot pass of the
-  Smith kernel below, which also returns the pivot positions and the
-  product of the +-1 pivots; Bareiss finishes only the small remainder;
+  over Q.  A region's signed det Z, and the det K of its Kasteleyn
+  signing that counts its tilings, come from the unit-pivot pass of the
+  Smith kernel below (``_sparse_determinant``), which also returns the
+  pivot positions and the product of the +-1 pivots; Bareiss finishes
+  only the small remainder;
 * ranks over Q and GF(p) and determinantal divisors: the integer Smith
   form s_1 | s_2 | ... | s_r.  One kernel computes it on sparse rows:
   unit pivots are eliminated first, each adding a factor 1, and the small
@@ -19,8 +21,8 @@ question has one kernel:
   the k-th determinantal divisor is s_1 ... s_k;
 * permanents of 0/1 matrices: a row-by-row dynamic program over the sets
   of used columns, which carries the signed sum of the matchings (the
-  determinant) alongside their count; the sparse det Z stays the
-  independent check of that signed sum.
+  determinant) alongside their count.  No program path runs it; it is
+  the public kernel and the test oracle of the tiling count |det K|.
 
 Row and column order of the region matrices is globally fixed (ascending
 reverse-lexicographic), so determinant signs are reproducible run to run.
@@ -90,9 +92,7 @@ class IntMatrix:
         )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
-        )
+        return IntMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -282,19 +282,26 @@ def region_invariant_factors(region) -> tuple[int, ...]:
 
 def region_determinant(region) -> int:
     """Signed det Z of a balanced region, by the same unit-pivot elimination
-    as its invariant factors; Z is never built densely.
-
-    Order the rows and the columns pivots first, in elimination order, then
-    the rest ascending.  After the row steps, which keep the determinant, a
-    pivot row is zero in every earlier pivot column and a remaining row in
-    every pivot column, so the reordered matrix is block upper triangular:
-    det Z is the parity of both orders times the product of the +-1 pivots
-    times the Bareiss determinant of the small remainder.
-    """
+    as its invariant factors (``_sparse_determinant``); Z is never built
+    densely."""
     n = len(region.down)
     if len(region.up) != n:
         raise ValueError("determinant of a non-square matrix")
-    rows = _region_rows(region)
+    return _sparse_determinant(_region_rows(region), n)
+
+
+def _sparse_determinant(rows: list[dict[int, int]], n: int) -> int:
+    """Determinant of the n x n matrix whose row i maps column -> nonzero
+    entry; consumes ``rows``.
+
+    Order the rows and the columns pivots first, in elimination order, then
+    the rest ascending.  After the row steps of ``_unit_pivots``, which keep
+    the determinant, a pivot row is zero in every earlier pivot column and a
+    remaining row in every pivot column, so the reordered matrix is block
+    upper triangular: the determinant is the parity of both orders times the
+    product of the +-1 pivots times the Bareiss determinant of the small
+    remainder.
+    """
     pivots, sign, rest_rows = _unit_pivots(rows, n)
     pivot_rows, pivot_cols = [i for i, _ in pivots], [j for _, j in pivots]
     taken = set(pivot_cols)
@@ -444,11 +451,7 @@ def _gcd_step_diagonal(a: list[list[int]]) -> list[int]:
             # column k is clear below the pivot, so column steps touch row k only
             for j in range(k + 1, cols):
                 row_k[j] %= pivot
-            j0 = min(
-                (j for j in range(k + 1, cols) if row_k[j]),
-                key=lambda j: abs(row_k[j]),
-                default=None,
-            )
+            j0 = min((j for j in range(k + 1, cols) if row_k[j]), key=lambda j: abs(row_k[j]), default=None)
             if j0 is None:
                 break
         diagonal.append(abs(pivot))
@@ -539,16 +542,8 @@ def lattice_points(region) -> LatticePoints:
     d = region.d
     down_set = region.down_set
     up_set = region.up_set
-    a_pts = [
-        (m, _lattice_coord(m, d))
-        for m in region.up
-        if m.ey == 0 or (m // Y) not in down_set
-    ]
-    e_pts = [
-        (Y * n, _lattice_coord(Y * n, d))
-        for n in region.down
-        if (Y * n) not in up_set
-    ]
+    a_pts = [(m, _lattice_coord(m, d)) for m in region.up if m.ey == 0 or (m // Y) not in down_set]
+    e_pts = [(Y * n, _lattice_coord(Y * n, d)) for n in region.down if (Y * n) not in up_set]
     return LatticePoints(tuple(a_pts), tuple(e_pts))
 
 

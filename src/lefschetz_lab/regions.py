@@ -21,6 +21,7 @@ overlaps and touches.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from .errors import InternalCheckError
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -107,11 +109,7 @@ class TriangularRegion:
         subregion; this is how an upper portion is compared with the region
         of a smaller ideal.
         """
-        return TriangularRegion(
-            self.d - m.degree,
-            (u // m for u in self.up),
-            (n // m for n in self.down),
-        )
+        return TriangularRegion(self.d - m.degree, (u // m for u in self.up), (n // m for n in self.down))
 
 
 #: ``check_region_size`` refuses a region with more triangles than this
@@ -281,44 +279,61 @@ def puncture_analysis(ideal: MonomialIdeal, d: int) -> tuple[Puncture, ...]:
     )
 
 
-def has_floating_puncture(region: TriangularRegion) -> bool:
-    """Whether some connected group of missing triangles touches none of the
-    three sides, read off the present triangles alone.
+def _kasteleyn_cut(region: TriangularRegion) -> set[int]:
+    """The rows n of Z whose entry at x*n is negated in a Kasteleyn signing
+    K, so that |det K| counts the tilings; linear in the region.
 
-    Missing triangles are connected when they share an edge or a vertex.
-    The groups that touch no side are the holes of the region's interior U,
-    so there are b0(U) - chi(U) of them.  chi(U) counts the open cells of U:
-    the triangles, minus the edges shared by two of them (one per
-    adjacency), plus the vertices off the sides whose six triangles are all
-    present.  On the region of an ideal a group is a union of overlapping
-    or touching punctures, so this agrees with ``puncture_analysis``.
+    A bounded face of the region's planar bipartite graph is a hexagon round
+    an inner vertex, where Z meets Kasteleyn's condition, or the inside of a
+    boundary curve, where it does iff the curve's charge is even.  An edge
+    of a present down and a missing up has charge 1, of a present up and a
+    missing or absent down -1; joining their end vertices gives one class
+    per curve (curves through a common vertex join), of charge its sum / 3,
+    and a class with a side vertex bounds the outer face.  From a vertex
+    (p, y, z) of each odd class a cut along x = p down to z = 0 negates each
+    pair (n, x*n), n = x^(p-1) y^(y+t) z^(z-t-1), whose edge it crosses: of
+    all bounded faces it flips the sign parity of the one round that vertex
+    alone.  A curve round an island of present triangles is cut too: a
+    balanced island has the charge parity of its holes, whose cuts also flip
+    the face round it, and an unbalanced one leaves det K = det Z = 0.
     """
     ups, downs = region.up_set, region.down_set
-    inner_vertices = sum(  # the vertex x*m of each up triangle m
-        1
-        for a, b, c in region.up
-        if b and c
-        and (a + 1, b - 1, c) in ups
-        and (a + 1, b, c - 1) in ups
-        and (a, b - 1, c) in downs
-        and (a, b, c - 1) in downs
-        and (a + 1, b - 1, c - 1) in downs
-    )
-    parent = list(range(len(region.up)))
+    edges = []  # (up m, variable k, charge): the edge of m facing m / k
+    for n, js in zip(region.down, region.adjacency):
+        if len(js) < 3:
+            edges += [(m, k, 1) for k, m in enumerate(_shifts(n, 1)) if m not in ups]
+    down_count = collections.Counter(itertools.chain.from_iterable(region.adjacency))
+    for j, m in enumerate(region.up):
+        if down_count[j] < 3:
+            edges += [(m, k, -1) for k, n in enumerate(_shifts(m, -1)) if n not in downs]
+    parent: dict = {}
 
-    def root(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        return j
+    def root(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
-    components, edges = 0, 0
-    for js in region.adjacency:
-        edges += len(js)
-        components += not js
-        for j in js[1:]:
-            parent[root(j)] = root(js[0])
-    components += sum(1 for j in range(len(parent)) if root(j) == j)
-    return components > len(region.up) + len(region.down) - edges + inner_vertices
+    ends = []
+    for m, k, charge in edges:
+        u, w = (v if min(v) else None for i, v in enumerate(_shifts(m, 1)) if i != k)
+        parent[root(u)] = root(w)
+        ends.append((u, charge))
+    charges: dict = {}
+    for u, charge in ends:
+        charges[root(u)] = charges.get(root(u), 0) + charge
+    charges.pop(root(None), None)
+    cut: set = set()
+    for (p, y, z), total in charges.items():
+        if total % 3:
+            raise InternalCheckError(f"the boundary curve through {(p, y, z)} has edge charges summing to {total}")
+        if total // 3 % 2:
+            cut ^= {(p - 1, y + t, z - t - 1) for t in range(z)}
+    return {i for i, n in enumerate(region.down) if n in cut and (n[0] + 1, n[1], n[2]) in ups}
+
+
+def _shifts(t: tuple[int, int, int], s: int) -> tuple[tuple[int, int, int], ...]:
+    a, b, c = t
+    return (a + s, b, c), (a, b + s, c), (a, b, c + s)
 
 
 def merge_touching_punctures(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -347,11 +362,7 @@ def merge_touching_punctures(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
                 for j in (d - 1 - g.degree, d - 2 - g.degree)
                 for rest in monomials_of_degree(j)
             ]
-            leftover = [
-                cell
-                for cell in cover_cells
-                if not (g1.divides(cell) or g2.divides(cell))
-            ]
+            leftover = [cell for cell in cover_cells if not (g1.divides(cell) or g2.divides(cell))]
             if any(h.divides(cell) for cell in leftover for h in others):
                 continue
             current = current.with_generator(g)
@@ -408,19 +419,25 @@ def _hopcroft_karp(adj: tuple[tuple[int, ...], ...], n_right: int) -> tuple[list
         if not found_free:
             return match_left, match_right
 
-        def augment(i: int) -> bool:
-            for j in adj[i]:
-                k = match_right[j]
-                if k == -1 or (dist[k] == dist[i] + 1 and augment(k)):
-                    match_left[i] = j
-                    match_right[j] = i
-                    return True
-            dist[i] = inf
-            return False
-
-        for i in range(len(adj)):
-            if match_left[i] == -1:
-                augment(i)
+        # a depth-first augmenting search from each free left vertex along
+        # rising dist, partners in adjacency order, on an explicit stack of
+        # [vertex, next partner position]; a dead end gets distance inf
+        for start in range(len(adj)):
+            stack = [[start, 0]] if match_left[start] == -1 else []
+            while stack:
+                i, t = frame = stack[-1]
+                if t == len(adj[i]):
+                    dist[i] = inf
+                    stack.pop()
+                    continue
+                frame[1] += 1
+                k = match_right[adj[i][t]]
+                if k == -1:  # flip the path into the matching
+                    for i, t in stack:
+                        match_left[i], match_right[adj[i][t - 1]] = adj[i][t - 1], i
+                    break
+                if dist[k] == dist[i] + 1:
+                    stack.append([k, 0])
 
 
 def is_tileable(region: TriangularRegion) -> TileabilityResult:

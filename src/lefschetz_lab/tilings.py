@@ -17,16 +17,17 @@ each matched pair (n, v*n) is a lozenge.  Two signs are attached to a tiling:
 
 The signed sums over all tilings reproduce, up to one global sign, the
 determinants of the bi-adjacency matrix and of the lattice path matrix.  On a
-balanced region the product of the two signs is the same for every tiling,
-and on a region without a floating puncture so is the matching sign (Cook
-and Nagel).  So ``signed_enumeration`` visits no tiling: the signed sparse
-elimination of the bi-adjacency matrix gives det Z, which is the matching
-sum and, up to sign, the count unless a puncture floats; only then does a
-signed matching count run.  One witness tiling gives the constant that
-turns the matching sum into the path sum.  ``enumerate_tilings`` streams
-every tiling by backtracking and serves as the test oracle for these
-shortcuts; ``msgn``, ``lpsgn`` and ``to_path_family`` work on ``Tiling``
-objects and check them against the region.
+balanced region the product of the two signs is the same for every tiling.
+So ``signed_enumeration`` visits no tiling: the signed sparse elimination of
+the bi-adjacency matrix Z gives det Z, the matching sum, and the same
+elimination of its Kasteleyn signing K, Z negated along a cut from each
+hole of odd charge, gives the count |det K|.  Without such a hole K = Z:
+every tiling then has the same matching sign (Cook and Nagel).  One witness
+tiling gives the constant that turns the matching sum into the path sum.
+``enumerate_tilings`` streams every tiling by backtracking and serves as
+the test oracle for these shortcuts; ``msgn``, ``lpsgn`` and
+``to_path_family`` work on ``Tiling`` objects and check them against the
+region.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .errors import InternalCheckError
 from .ideals import Monomial, VARIABLES, Y
 from .intlinalg import (
     _perm_sign,
-    biadjacency,
+    _region_rows,
+    _sparse_determinant,
     determinant,
     lattice_path_matrix,
     lattice_points,
-    matching_counts,
     region_determinant,
 )
 
@@ -205,41 +206,39 @@ def signed_enumeration(region) -> EnumerationReport:
     """Count tilings, both signed sums, both determinants, and the permanent.
 
     No tiling is visited.  The signed sparse elimination of Z gives det Z
-    (``intlinalg.region_determinant``).  On a region without a floating
-    puncture (``regions.has_floating_puncture``) every tiling has the same
-    matching sign (Cook and Nagel), so the count and per Z are |det Z| and
-    the matching sum is det Z.  On a region with one, a signed matching
-    count of Z gives per Z, the count, and the matching sum, which must
-    equal det Z; a region whose count needs more than
-    ``intlinalg.MAX_LIVE_SETS`` column sets is refused, never approximated.
-    On a balanced region msgn * lpsgn is the same for every tiling, so the
-    path sum is that constant, read off the witness tiling of
-    ``is_tileable``, times the matching sum; it must match |det N| by
-    Bareiss elimination of the lattice path matrix, and per Z must be at
-    least |det Z| and of its parity.  A violation is reported as an internal
-    error, never as a result.
+    (``intlinalg.region_determinant``), which is the matching sum.  The
+    count and per Z are |det K| for the Kasteleyn signing K of Z: Z with
+    its entries negated along one cut from each hole of odd charge
+    (``regions._kasteleyn_cut``; Kasteleyn 1967, Kuperberg 1998).  Without
+    such a hole K = Z and det Z is reused.  On a balanced region msgn *
+    lpsgn is the same for every tiling, so the path sum is that constant,
+    read off the witness tiling of ``is_tileable``, times the matching sum;
+    it must match |det N| by Bareiss elimination of the lattice path
+    matrix, per Z must be at least |det Z| and of its parity, and a witness
+    must exist exactly when per Z is positive.  A violation is reported as
+    an internal error, never as a result.
     """
-    from .regions import has_floating_puncture, is_tileable  # regions imports this module
+    from .regions import _kasteleyn_cut, is_tileable  # regions imports this module
 
     if len(region.up) != len(region.down):
         raise ValueError("signed enumeration needs a balanced region")
     det_z = region_determinant(region)
-    if has_floating_puncture(region):
-        per_z, sum_msgn = matching_counts(biadjacency(region))
-        if sum_msgn != det_z:
-            raise InternalCheckError(f"sum msgn {sum_msgn} != det Z {det_z}")
-    else:
-        per_z, sum_msgn = abs(det_z), det_z
+    per_z = abs(det_z)
+    if cut := _kasteleyn_cut(region):  # the rows of K: row n of the cut has -1 at x*n
+        rows = _region_rows(region)
+        for i in cut:
+            rows[i][region.adjacency[i][0]] = -1
+        per_z = abs(_sparse_determinant(rows, len(rows)))
     n_matrix, pts = lattice_path_matrix(region)
     witness = is_tileable(region).tiling
     sign = 0
     if witness is not None:
         _check_is_tiling(region, witness)
         sign = _matching_sign(region, witness) * _perm_sign(_path_family(region, witness, pts).permutation)
-    sum_lpsgn = sign * sum_msgn
+    sum_lpsgn = sign * det_z
     det_n = determinant(n_matrix)
     if abs(sum_lpsgn) != abs(det_n):
         raise InternalCheckError(f"|sum lpsgn| {abs(sum_lpsgn)} != |det N| {abs(det_n)}")
-    if per_z < abs(det_z) or (per_z - det_z) % 2:
-        raise InternalCheckError(f"per Z {per_z} is below |det Z| or of another parity than det Z {det_z}")
-    return EnumerationReport(per_z, sum_msgn, sum_lpsgn, det_z, det_n, per_z)
+    if per_z < abs(det_z) or (per_z - det_z) % 2 or (witness is None) != (per_z == 0):
+        raise InternalCheckError(f"per Z {per_z} is below det Z {det_z}, of another parity, or wrong on tileability")
+    return EnumerationReport(per_z, det_z, sum_lpsgn, det_z, det_n, per_z)

@@ -98,9 +98,7 @@ class WlpReport:
     def failing_degrees(self) -> dict[int, tuple[int, ...]]:
         """Degrees with a rank failure, per characteristic (0 and each
         requested prime)."""
-        out: dict[int, tuple[int, ...]] = {
-            0: tuple(r.d for r in self.degrees if not r.ok_char0)
-        }
+        out: dict[int, tuple[int, ...]] = {0: tuple(r.d for r in self.degrees if not r.ok_char0)}
         if self.degrees:
             for p in self.degrees[0].rank_mod:
                 out[p] = tuple(r.d for r in self.degrees if not r.ok_mod(p))
@@ -217,10 +215,7 @@ def peak_shortcut(ideal: MonomialIdeal) -> PeakShortcut | None:
                     f"degree {e-1}: one determinant decides"
                 ),
             )
-    d_star = max(
-        (d for d in range(1, sp.socle_degree + 3) if h[d - 2] < h[d - 1]),
-        default=None,
-    )
+    d_star = max((d for d in range(1, sp.socle_degree + 3) if h[d - 2] < h[d - 1]), default=None)
     if d_star is None:
         return None
     if h[d_star - 1] > h[d_star] and min_socle >= d_star - 2:
@@ -241,13 +236,19 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
 
     Only meaningful when the property holds in characteristic zero (raises
     otherwise).  Computed as the prime divisors of the leading determinantal
-    divisors at the decisive degrees: the shortcut degrees when a shortcut
-    applies, else every scanned degree.
+    divisors at the shortcut degrees.  Without a peak shortcut the property
+    fails in characteristic zero: with it, a socle element of least degree
+    k forces h(k) > h(k+1) and no rise of h after k, which places a plateau
+    or strict peak that ``peak_shortcut`` accepts.
     """
     shortcut = peak_shortcut(ideal)
-    degrees = shortcut.degrees if shortcut else tuple(_scan_range(ideal))
+    if shortcut is None and ideal.is_proper:  # the zero ring has no socle
+        raise ValueError(
+            "bad primes are undefined: the property already fails in "
+            "characteristic zero (no peak shortcut applies)"
+        )
     divisors = []
-    for d in degrees:
+    for d in shortcut.degrees if shortcut else ():
         n_up, n_down, factors = _degree_factors(ideal, d)
         if len(factors) < min(n_up, n_down):  # every required-size minor vanishes
             raise ValueError(
@@ -298,15 +299,11 @@ def type_one_verdict(a: int, b: int, c: int, p: int) -> TypeOneVerdict:
         holds = p == 0 or value % p != 0
         verdict = TypeOneVerdict(holds, CASE_EVEN_HEXAGON, (value,))
     else:
-        values = tuple(
-            type_one_odd_minor(a, b, c, i) for i in range(d - b, a)
-        )
+        values = tuple(type_one_odd_minor(a, b, c, i) for i in range(d - b, a))
         holds = p == 0 or any(v % p != 0 for v in values)
         verdict = TypeOneVerdict(holds, CASE_ODD_MINORS, values)
     if (p == 0 or p >= d) and not verdict.holds:
-        raise InternalCheckError(
-            f"blanket guarantee violated for ({a},{b},{c}) at p={p}"
-        )
+        raise InternalCheckError(f"blanket guarantee violated for ({a},{b},{c}) at p={p}")
     return verdict
 
 
@@ -354,10 +351,7 @@ def _match_normal_form(ideal: MonomialIdeal) -> tuple[int, int, int, int, int, i
     if any(e is None for e in pure.values()):
         return None
     a, b, c = pure[0], pure[1], pure[2]
-    mixed = sorted(
-        (g for g in gens if g.degree not in (g.ex, g.ey, g.ez)),
-        key=Monomial.revlex_key,
-    )
+    mixed = sorted((g for g in gens if g.degree not in (g.ex, g.ey, g.ez)), key=Monomial.revlex_key)
     if len(gens) == 4 and len(mixed) == 1:
         g = mixed[0]
         if g.ez == 0 and 0 < g.ex < a and 0 < g.ey < b:
@@ -432,13 +426,7 @@ def type2_condition_range(form: Type2Form) -> range:
     alpha, beta, gamma = form.alpha, form.beta, form.gamma
     assert gamma is not None
     lo2 = max(2 * a, 2 * (alpha + beta), 2 * (alpha + gamma), a + alpha + beta + gamma)
-    hi2 = min(
-        2 * (a + beta + gamma),
-        alpha + b + c,
-        2 * (b + c),
-        2 * (alpha + c),
-        2 * (alpha + b),
-    )
+    hi2 = min(2 * (a + beta + gamma), alpha + b + c, 2 * (b + c), 2 * (alpha + c), 2 * (alpha + b))
     return _strict_integer_window(lo2, hi2)
 
 
@@ -491,12 +479,7 @@ def type2_poschar_bound(ideal: MonomialIdeal) -> PosCharBound:
         alpha, beta, gamma = form.alpha, form.beta, form.gamma
         assert gamma is not None
         lo2 = max(2 * alpha, 2 * b, 2 * c, alpha + b + c)
-        hi2 = min(
-            2 * (a + beta),
-            2 * (a + gamma),
-            2 * (alpha + beta + c),
-            a + alpha + beta + c,
-        )
+        hi2 = min(2 * (a + beta), 2 * (a + gamma), 2 * (alpha + beta + c), a + alpha + beta + c)
         if len(_strict_integer_window(lo2, hi2)) == 0:
             result = PosCharBound(kind="cond-free-linear", bound=(alpha + b + c) // 2)
         else:
@@ -672,9 +655,7 @@ def analyze_wlp(
             fast = type_one_verdict(a, b, c, p).holds
             slow = scan.holds_char0 if p == 0 else scan.holds_mod(p)
             if fast != slow:
-                raise InternalCheckError(
-                    f"complete-intersection verdict at p={p} disagrees with the scan"
-                )
+                raise InternalCheckError(f"complete-intersection verdict at p={p} disagrees with the scan")
     elif socle_profile(ideal).type_ == 2:
         method = METHOD_TYPE_TWO
         holds, failing = type2_char0_verdict(ideal)
@@ -684,9 +665,7 @@ def analyze_wlp(
         shortcut = peak_shortcut(ideal)
         if shortcut is not None:
             method = shortcut.kind
-            decisive_ok = all(
-                r.ok_char0 for r in scan.degrees if r.d in shortcut.degrees
-            )
+            decisive_ok = all(r.ok_char0 for r in scan.degrees if r.d in shortcut.degrees)
             if decisive_ok != scan.holds_char0:
                 raise InternalCheckError("peak shortcut disagrees with the scan")
     bad = bad_primes(ideal) if scan.holds_char0 else None

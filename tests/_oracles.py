@@ -226,6 +226,24 @@ def random_balanced_region(rng: random.Random, max_d: int) -> TriangularRegion:
     return TriangularRegion(d, rng.sample(ups, len(ups) - d - k), rng.sample(downs, len(downs) - k))
 
 
+def complement(region: TriangularRegion) -> TriangularRegion:
+    """The triangles of the degree-d triangle that the region lacks, so that
+    ``has_floating_group`` of it finds islands of present triangles."""
+    d = region.d
+    return TriangularRegion(
+        d,
+        (m for m in monomials_of_degree(d - 1) if m not in region.up_set),
+        (n for n in monomials_of_degree(d - 2) if n not in region.down_set),
+    )
+
+
+def off_the_sides(region: TriangularRegion) -> TriangularRegion:
+    """The region moved into the middle of the degree d+3 triangle, every
+    label times xyz: an island whose boundary touches no side."""
+    xyz = Monomial(1, 1, 1)
+    return TriangularRegion(region.d + 3, (xyz * m for m in region.up), (xyz * n for n in region.down))
+
+
 def has_floating_group(region: TriangularRegion) -> bool:
     """Whether some group of missing triangles, linked through shared
     corners, has no corner on a side (an exponent 0): a flood fill over the

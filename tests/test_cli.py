@@ -60,15 +60,15 @@ def test_scan_refuses_caps_that_scan_nothing(flag, value):
     assert out == ""
 
 
-def test_count_refuses_a_huge_region_before_enumerating(monkeypatch):
-    # the Mac(10,10,10) hexagon with a floating side-2 puncture: its signed
-    # matching count outgrows the live-set cap
+def test_count_answers_a_huge_floating_region_before_enumerating(monkeypatch):
+    # a hexagon of sides 9 and 11 with a floating side-2 puncture, whose
+    # signed matching count would outgrow the live-set cap
     def no_search(region):
         raise AssertionError("the tiling stream must not start")
 
     monkeypatch.setattr(tilings, "enumerate_tilings", no_search)
-    code, _, err = run_cli(["count", "x^20,y^20,z^20,x^9*y^9*z^9", "--d", "29"])
-    assert code == 1 and "cap" in err
+    code, out, _ = run_cli(["count", "x^20,y^20,z^20,x^9*y^9*z^9", "--d", "29"])
+    assert code == 0 and "tilings: 238961518860614976732480734070000\n" in out
 
 
 @pytest.mark.parametrize("n", [10, 30])
@@ -79,19 +79,29 @@ def test_count_answers_hexagons_past_the_matching_cap(n):
     assert payload["count"] == payload["per_Z"] == abs(payload["det_N"]) == macmahon(n, n, n)
 
 
-def test_count_runs_the_matching_count_only_where_a_puncture_floats(monkeypatch):
-    calls = []
+def test_count_never_runs_the_matching_count(monkeypatch):
+    from lefschetz_lab import intlinalg
 
-    def recorded(name):
-        original = getattr(tilings, name)
-        return lambda *args: calls.append(name) or original(*args)
+    dp = ("biadjacency", "matching_counts", "permanent")
+    assert not any(hasattr(tilings, name) for name in dp)
+    for name in dp:
+        monkeypatch.setattr(intlinalg, name, lambda *args, name=name: pytest.fail(f"count called {name}"))
+    # a hexagon, an even floating hole, and two odd ones
+    for ideal, d in (
+        ("x^4,y^4,z^4", 6),
+        ("x^8,y^8,z^8,x^2*y^2*z^2", 10),
+        ("x^7,y^7,z^6,x*y^4*z^2,x^3*y*z^2,x^4*y*z", 8),
+    ):
+        assert run_cli(["count", ideal, "--d", str(d)])[0] == 0
 
-    for name in ("biadjacency", "matching_counts"):
-        monkeypatch.setattr(tilings, name, recorded(name))
-    assert run_cli(["count", "x^4,y^4,z^4", "--d", "6"])[0] == 0
-    assert calls == []
-    assert run_cli(["count", "x^8,y^8,z^8,x^2*y^2*z^2", "--d", "10"])[0] == 0
-    assert calls == ["biadjacency", "matching_counts"]
+
+def test_count_and_region_answer_a_long_thin_strip():
+    # a witness matching whose augmenting paths run the length of the strip
+    code, out, _ = run_cli(["count", "x^2,y^1000,z^1000", "--d", "1001"])
+    assert code == 0
+    assert "tilings: 1000\n" in out and "det Z = -1000, det N = 1000, per Z = 1000" in out
+    code, out, _ = run_cli(["region", "x^2,y^1000,z^1000", "--d", "1001"])
+    assert code == 0 and "tileable: yes" in out
 
 
 @pytest.mark.parametrize(

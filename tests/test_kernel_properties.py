@@ -17,7 +17,6 @@ from lefschetz_lab import (
     build_region,
     determinant,
     determinantal_divisor,
-    has_floating_puncture,
     matching_counts,
     parse_ideal,
     permanent,
@@ -28,10 +27,12 @@ from lefschetz_lab import (
     smith_invariant_factors,
 )
 from lefschetz_lab import intlinalg
+from lefschetz_lab.regions import _kasteleyn_cut
 from lefschetz_lab.wlp import _scan_range
 from _oracles import (
     all_minors_divisor,
     cofactor_determinant,
+    complement,
     fraction_rank,
     has_floating_group,
     multiplication_matrix,
@@ -217,9 +218,19 @@ def test_region_determinant_of_a_hexagon_and_a_non_square_region():
 
 @settings(max_examples=400, deadline=None)
 @given(seed=st.integers(0, 2**32))
-def test_floating_test_matches_a_flood_fill(seed):
+def test_the_cut_is_empty_without_a_floating_group(seed):
+    # a boundary curve through a side vertex bounds the outer face and needs
+    # no cut; every other curve bounds a floating hole or a floating island
     region = random_balanced_region(random.Random(seed), 10)
-    assert has_floating_puncture(region) == has_floating_group(region)
+    if not has_floating_group(region) and not has_floating_group(complement(region)):
+        assert _kasteleyn_cut(region) == set()
+
+
+def test_the_cut_runs_from_a_puncture_of_odd_side_only():
+    # a lone floating puncture of side s has charge s
+    odd = build_region(parse_ideal("x^19,y^19,z^19,x^8*y^8*z^8"), 27)
+    even = build_region(parse_ideal("x^20,y^20,z^20,x^9*y^9*z^9"), 29)
+    assert _kasteleyn_cut(odd) and _kasteleyn_cut(even) == set()
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,4 +240,6 @@ def test_floating_test_matches_puncture_analysis(seed, extra, floating):
     ideal = draw(random.Random(seed), 8, extra)
     for d in range(1, 16):
         expected = any(p.floating for p in puncture_analysis(ideal, d))
-        assert has_floating_puncture(build_region(ideal, d)) == expected, (str(ideal), d)
+        region = build_region(ideal, d)
+        assert has_floating_group(region) == expected, (str(ideal), d)
+        assert expected or has_floating_group(complement(region)) or not _kasteleyn_cut(region), (str(ideal), d)

@@ -13,7 +13,6 @@ from lefschetz_lab import (
     determinant,
     enumerate_tilings,
     first_tiling,
-    has_floating_puncture,
     lpsgn,
     matching_counts,
     msgn,
@@ -25,7 +24,15 @@ from lefschetz_lab import (
     to_path_family,
 )
 from lefschetz_lab import intlinalg
-from _oracles import random_artinian_ideal, random_balanced_region, random_floating_ideal
+from lefschetz_lab.intlinalg import _region_rows, _sparse_determinant
+from lefschetz_lab.regions import _kasteleyn_cut
+from _oracles import (
+    has_floating_group,
+    off_the_sides,
+    random_artinian_ideal,
+    random_balanced_region,
+    random_floating_ideal,
+)
 
 FIG3 = "x^7,y^7,z^6,x*y^4*z^2,x^3*y*z^2,x^4*y*z"
 
@@ -138,8 +145,11 @@ def test_signed_enumeration_count_cap(monkeypatch):
     # its signed matching count keeps at most 18 live column sets at once
     monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 17)
     with pytest.raises(ValueError, match="cap"):
-        signed_enumeration(punctured)
+        matching_counts(biadjacency(punctured))
     monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 18)
+    assert matching_counts(biadjacency(punctured))[0] == 324
+    # the count is a determinant, so the cap does not bound it
+    monkeypatch.setattr(intlinalg, "MAX_LIVE_SETS", 1)
     assert signed_enumeration(punctured).count == 324
 
 
@@ -169,14 +179,42 @@ def test_signed_enumeration_matches_public_signs(seed, extra):
         assert rep.sum_lpsgn == sum(lpsgn(region, t) for t in stream)
 
 
+def det_k(region) -> int:
+    """det K for the Kasteleyn signing of Z that ``signed_enumeration`` counts with."""
+    rows = _region_rows(region)
+    for i in _kasteleyn_cut(region):
+        rows[i][region.adjacency[i][0]] = -1
+    return _sparse_determinant(rows, len(rows))
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_det_z_counts_the_tilings_where_no_puncture_floats(seed):
     # the theorem behind the count, on regions no ideal need cut out
     region = random_balanced_region(random.Random(seed), 8)
     per_z, sum_msgn = matching_counts(biadjacency(region))
-    if not has_floating_puncture(region):
-        assert (per_z, sum_msgn) == (abs(region_determinant(region)), region_determinant(region))
+    assert sum_msgn == region_determinant(region)
+    if not has_floating_group(region):
+        assert per_z == abs(region_determinant(region)) == abs(det_k(region))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_det_k_counts_the_tilings(seed):
+    # Kasteleyn's theorem behind the count, holes of every shape and charge;
+    # moved off the sides, the region is an island with the same tilings
+    region = random_balanced_region(random.Random(seed), 9)
+    per_z = matching_counts(biadjacency(region))[0]
+    assert abs(det_k(region)) == abs(det_k(off_the_sides(region))) == per_z
+
+
+def test_det_k_counts_a_hexagon_with_an_odd_floating_puncture():
+    # a hexagon of sides 8 and 11 with a floating side-3 puncture, where
+    # per Z exceeds |det Z|; the signed matching count still runs here
+    region = build_region(parse_ideal("x^19,y^19,z^19,x^8*y^8*z^8"), 27)
+    rep = signed_enumeration(region)
+    assert rep.count == rep.per_z == 6103581315713123286347791488 == matching_counts(biadjacency(region))[0]
+    assert rep.sum_msgn == rep.det_z == 5337231300059114564035205600
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,6 +227,7 @@ def test_count_is_the_matching_count(seed, extra, floating):
         if len(region.up) == len(region.down):
             rep = signed_enumeration(region)
             assert (rep.count, rep.sum_msgn) == matching_counts(biadjacency(region)), (str(ideal), d)
+            assert abs(det_k(off_the_sides(region))) == rep.count, (str(ideal), d)
 
 
 @settings(max_examples=300, deadline=None)

@@ -179,6 +179,18 @@ def test_bad_primes_undefined_on_char0_failure():
         bad_primes(parse_ideal("x^2,y^4,z^4,xy,xz"))
 
 
+def test_bad_primes_without_a_peak_shortcut_reduce_no_degree(monkeypatch):
+    # a socle element in degree 2 and no shortcut: the property fails in
+    # characteristic zero, which needs no reduction to know
+    from lefschetz_lab import wlp
+
+    ideal = parse_ideal("x^4,y^3,z^6,x*y^2,y^2*z")
+    assert peak_shortcut(ideal) is None and not analyze_wlp(ideal).holds_char0
+    monkeypatch.setattr(wlp, "_degree_factors", lambda ideal, d: pytest.fail(f"reduced degree {d}"))
+    with pytest.raises(ValueError, match="no peak shortcut"):
+        bad_primes(ideal)
+
+
 def test_bad_primes_of_complete_intersections_match_closed_form():
     for a in range(1, 10):
         for b in range(a, 10):
