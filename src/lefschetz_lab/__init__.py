@@ -42,31 +42,30 @@ from .intlinalg import (
     permanent,
     rank_mod_p,
     rank_q,
-    region_determinant,
-    region_invariant_factors,
     smith_invariant_factors,
 )
 from .regions import (
     Balance,
-    HallViolator,
     Puncture,
     TriangularRegion,
     balance,
     build_region,
-    first_tiling,
-    is_tileable,
     maximal_minors,
     merge_touching_punctures,
     monomial_subregion,
     puncture_analysis,
+    region_determinant,
     restricted_maximal_minors,
     split_portions,
 )
 from .tilings import (
     EnumerationReport,
+    HallViolator,
     PathFamily,
     Tiling,
     enumerate_tilings,
+    first_tiling,
+    is_tileable,
     lpsgn,
     msgn,
     signed_enumeration,

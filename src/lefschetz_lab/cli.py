@@ -21,7 +21,7 @@ from .formulas import (
 )
 from .ideals import MonomialIdeal, hilbert_function, parse_ideal, socle_profile
 from .intlinalg import factorize, is_probable_prime
-from .regions import balance, build_region, first_tiling
+from .regions import MAX_REGION_TRIANGLES, balance, build_region
 from .render import render_ascii, render_svg
 from .reports import (
     SCHEMA,
@@ -30,7 +30,7 @@ from .reports import (
     region_report_to_dict,
     wlp_report_to_dict,
 )
-from .tilings import signed_enumeration
+from .tilings import first_tiling, signed_enumeration
 from .wlp import (
     analyze_wlp,
     bad_primes,
@@ -72,6 +72,16 @@ def _default_degree(ideal: MonomialIdeal) -> int:
     sp = socle_profile(ideal)
     h = hilbert_function(ideal)
     return max(range(1, sp.socle_degree + 3), key=lambda d: (min(h[d - 2], h[d - 1]), -d))
+
+
+def _check_picture_size(d: int) -> None:
+    """A picture draws all d^2 triangles of the degree-d triangle, punctures
+    included, so past ``MAX_REGION_TRIANGLES`` it is refused before the
+    region is built."""
+    if d * d > MAX_REGION_TRIANGLES:
+        raise ValueError(
+            f"the degree-{d} picture has {d * d} triangles, above MAX_REGION_TRIANGLES = {MAX_REGION_TRIANGLES}"
+        )
 
 
 def _factor_str(n: int) -> str:
@@ -118,6 +128,8 @@ def _cmd_hilbert(args) -> int:
 def _cmd_region(args) -> int:
     ideal = parse_ideal(args.ideal)
     d = args.d if args.d is not None else _default_degree(ideal)
+    if args.svg or args.ascii:
+        _check_picture_size(d)
     region = build_region(ideal, d)
     payload = region_report_to_dict(ideal, d)
     if args.svg:
@@ -149,6 +161,8 @@ def _cmd_region(args) -> int:
 def _cmd_count(args) -> int:
     ideal = parse_ideal(args.ideal)
     d = args.d if args.d is not None else _default_degree(ideal)
+    if args.svg:
+        _check_picture_size(d)
     region = build_region(ideal, d)
     stats = balance(region)
     report = signed_enumeration(region) if stats.kind == "balanced" else None

@@ -1,24 +1,25 @@
 """Exact linear algebra over the integers: determinants, permanents, ranks,
-Smith form, and the two matrices attached to a triangular region.
+Smith form, and three matrices of a triangular region (``biadjacency``,
+``lattice_points``, ``lattice_path_matrix``).  This module owns the matrix
+kernels; ``regions`` builds the sparse rows of a region's Z and hands them
+to ``sparse_determinant`` and ``sparse_invariant_factors``.
 
 Entries are arbitrary-precision Python ints; nothing here ever rounds.  Each
 question has one kernel:
 
 * determinants: fraction-free Bareiss elimination, whose last pivot is a
   nonzero maximal minor: the primes it leaves undivided keep the rank
-  over Q.  A region's signed det Z, and the det K of its Kasteleyn
-  signing that counts its tilings, come from the unit-pivot pass of the
-  Smith kernel below (``_sparse_determinant``), which also returns the
-  pivot positions and the product of the +-1 pivots; Bareiss finishes
-  only the small remainder;
+  over Q.  A sparse square matrix, such as a region's Z or K, goes through
+  the unit-pivot pass of the Smith kernel below first
+  (``sparse_determinant``), which also returns the pivot positions and the
+  product of the +-1 pivots; Bareiss finishes only the small remainder;
 * ranks over Q and GF(p) and determinantal divisors: the integer Smith
   form s_1 | s_2 | ... | s_r.  One kernel computes it on sparse rows:
   unit pivots are eliminated first, each adding a factor 1, and the small
   remainder without units is diagonalized by gcd steps, then its diagonal
-  is normalized by gcd/lcm.  Region matrices reach it straight from the
-  region's adjacency, other matrices from their rows.  The rank over Q is
-  r, the rank over GF(p) is the number of s_i that p does not divide, and
-  the k-th determinantal divisor is s_1 ... s_k;
+  is normalized by gcd/lcm.  The rank over Q is r, the rank over GF(p) is
+  the number of s_i that p does not divide, and the k-th determinantal
+  divisor is s_1 ... s_k;
 * permanents of 0/1 matrices: a row-by-row dynamic program over the sets
   of used columns, which carries the signed sum of the matchings (the
   determinant) alongside their count.  No program path runs it; it is
@@ -267,30 +268,14 @@ def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     """Nonnegative invariant factors s_1 | s_2 | ... of the integer Smith form.
 
     The rows become sparse rows and go through ``sparse_invariant_factors``,
-    the one Smith kernel, which region matrices also reach straight from
-    their adjacency (``region_invariant_factors``) or from ``degree_rows``.
+    the one Smith kernel, which the WLP scan reaches straight from the rows
+    of ``regions.degree_rows``.
     """
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
     return sparse_invariant_factors(rows, matrix.cols)
 
 
-def region_invariant_factors(region) -> tuple[int, ...]:
-    """Invariant factors of the region's bi-adjacency matrix Z, read from
-    ``region.adjacency`` as sparse rows; Z is never built densely."""
-    return sparse_invariant_factors(_region_rows(region), len(region.up))
-
-
-def region_determinant(region) -> int:
-    """Signed det Z of a balanced region, by the same unit-pivot elimination
-    as its invariant factors (``_sparse_determinant``); Z is never built
-    densely."""
-    n = len(region.down)
-    if len(region.up) != n:
-        raise ValueError("determinant of a non-square matrix")
-    return _sparse_determinant(_region_rows(region), n)
-
-
-def _sparse_determinant(rows: list[dict[int, int]], n: int) -> int:
+def sparse_determinant(rows: list[dict[int, int]], n: int) -> int:
     """Determinant of the n x n matrix whose row i maps column -> nonzero
     entry; consumes ``rows``.
 
@@ -302,22 +287,20 @@ def _sparse_determinant(rows: list[dict[int, int]], n: int) -> int:
     product of the +-1 pivots times the Bareiss determinant of the small
     remainder.
     """
+    if len(rows) != n:
+        raise ValueError("determinant of a non-square matrix")
     pivots, sign, rest_rows = _unit_pivots(rows, n)
     pivot_rows, pivot_cols = [i for i, _ in pivots], [j for _, j in pivots]
     taken = set(pivot_cols)
     rest_cols = [j for j in range(n) if j not in taken]
     if len(rest_rows) < len(rest_cols):  # a row became zero
         return 0
-    sign *= _perm_sign(pivot_rows + rest_rows) * _perm_sign(pivot_cols + rest_cols)
+    sign *= permutation_sign(pivot_rows + rest_rows) * permutation_sign(pivot_cols + rest_cols)
     remainder = IntMatrix([[rows[i].get(j, 0) for j in rest_cols] for i in rest_rows], cols=len(rest_cols))
     return sign * determinant(remainder)
 
 
-def _region_rows(region) -> list[dict[int, int]]:
-    return [dict.fromkeys(js, 1) for js in region.adjacency]
-
-
-def _perm_sign(images: Sequence[int]) -> int:
+def permutation_sign(images: Sequence[int]) -> int:
     """Sign of a permutation given as a list of images, by cycle counting."""
     seen = [False] * len(images)
     sign = 1

@@ -3,11 +3,11 @@
 The degree-d region of an ideal I has one upward unit triangle per degree
 (d-1) monomial outside I and one downward unit triangle per degree (d-2)
 monomial outside I; a downward triangle n is adjacent to the upward triangles
-x*n, y*n, z*n.  ``build_region`` reads both label sets from
-``standard_monomials``, and ``TriangularRegion.adjacency`` is the one map from
-downward triangles to the indices of their upward neighbours; matchings,
-tilings and the bi-adjacency matrix all read it.  ``degree_rows`` reads the
-same rows off the staircase, with no label built, for the WLP scan.
+x*n, y*n, z*n.  This module owns the region and the rows of its matrix Z:
+``_slice_rows`` builds them for ``TriangularRegion.adjacency`` from the
+labels and for the WLP scan's ``degree_rows`` off the staircase, and
+``region_determinant`` and the Kasteleyn signing hand them to the kernels
+of ``intlinalg``.  Matchings and tilings live in ``tilings``.
 Everything here is label arithmetic on exponents; no floating-point
 geometry exists outside the SVG emitter.
 
@@ -39,8 +39,7 @@ from .ideals import (
     monomials_of_degree,
     standard_monomials,
 )
-from .intlinalg import lattice_points
-from .tilings import Tiling
+from .intlinalg import lattice_points, sparse_determinant
 
 _EZ_EY = operator.itemgetter(2, 1)
 
@@ -83,11 +82,9 @@ class TriangularRegion:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """For each downward triangle n, the indices in ``up`` of x*n, y*n and
-        z*n, in that order, skipping the absent ones.  A ``Monomial`` hashes
-        and compares as its exponent tuple, so plain tuples look it up."""
-        get = {m: j for j, m in enumerate(self.up)}.get
-        found = ((get((x + 1, y, z)), get((x, y + 1, z)), get((x, y, z + 1))) for x, y, z in self.down)
-        return tuple(tuple(j for j in js if j is not None) for js in found)
+        z*n, in that order, skipping the absent ones: the keys of the rows of
+        Z that ``_slice_rows`` builds from the labels."""
+        return tuple(map(tuple, _slice_rows(_label_runs(self.up), _label_runs(self.down))[1]))
 
     @property
     def is_empty(self) -> bool:
@@ -141,25 +138,51 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
 
 def degree_rows(ideal: MonomialIdeal, d: int) -> tuple[int, list[dict[int, int]]]:
     """The number of up triangles of the degree-d region and the rows of
-    ``build_region(ideal, d).adjacency`` as sparse rows of Z, key order
-    included, read off the staircase runs with no label built or sorted.
-    Each slice z^e maps the x exponents of its up triangles to their
-    indices; down n = x^i y^k z^e meets x*n and y*n at i+1 and i in slice
-    z^e, z*n at i in slice z^(e+1); absent ones land on the key None, dropped."""
+    its Z, read off the staircase runs with no label built or sorted."""
     check_region_size(ideal, d)
+    return _slice_rows(_degree_runs(ideal, d - 1), _degree_runs(ideal, d - 2))
+
+
+def _label_runs(labels: tuple[Monomial, ...]) -> Iterator[tuple[int, tuple[Iterator[int]]]]:
+    """Labels of one degree in ascending revlex order as ``_degree_runs``
+    lists them: per slice z^e, e falling, one run of x exponents."""
+    return ((ez, ((m[0] for m in group),)) for ez, group in itertools.groupby(labels, operator.itemgetter(2)))
+
+
+def _slice_rows(up_runs, down_runs) -> tuple[int, list[dict[int, int]]]:
+    """The one builder of Z's sparse rows: the number of up triangles and,
+    per down triangle n, a row mapping the up indices of x*n, y*n, z*n, in
+    that order, to 1, from the runs of the up and the down labels.  Each up
+    slice z^e maps its x exponents to their indices; down n = x^i y^k z^e
+    meets x*n and y*n at i+1 and i in slice z^e, z*n at i in slice z^(e+1);
+    absent ones land on the key None, dropped."""
     index: dict[int, dict[int, int]] = {}  # slice z^e: x exponent -> up index
     n_up = 0
-    for ez, runs in _degree_runs(ideal, d - 1):
+    for ez, runs in up_runs:
         index[ez] = dict(zip(itertools.chain.from_iterable(runs), itertools.count(n_up)))
         n_up += len(index[ez])
     rows = []
-    for ez, runs in _degree_runs(ideal, d - 2):
+    for ez, runs in down_runs:
         same, above = index.get(ez, {}).get, index.get(ez + 1, {}).get
         for i in itertools.chain.from_iterable(runs):
             row = {same(i + 1): 1, same(i): 1, above(i): 1}
             row.pop(None, None)
             rows.append(row)
     return n_up, rows
+
+
+def region_determinant(region: TriangularRegion) -> int:
+    """Signed det Z of a balanced region by the sparse unit-pivot
+    elimination (``intlinalg.sparse_determinant``); Z is never built densely."""
+    return sparse_determinant([dict.fromkeys(js, 1) for js in region.adjacency], len(region.up))
+
+
+def kasteleyn_determinant(region: TriangularRegion) -> int | None:
+    """det K of the Kasteleyn signing K of Z (``_kasteleyn_cut``), whose
+    absolute value counts the tilings of a balanced region, or None when
+    K = Z and ``region_determinant`` already gives it."""
+    rows = _kasteleyn_cut(region)
+    return None if rows is None else sparse_determinant(rows, len(rows))
 
 
 @dataclass(frozen=True)
@@ -279,9 +302,9 @@ def puncture_analysis(ideal: MonomialIdeal, d: int) -> tuple[Puncture, ...]:
     )
 
 
-def _kasteleyn_cut(region: TriangularRegion) -> set[int]:
-    """The rows n of Z whose entry at x*n is negated in a Kasteleyn signing
-    K, so that |det K| counts the tilings; linear in the region.
+def _kasteleyn_cut(region: TriangularRegion) -> list[dict[int, int]] | None:
+    """The rows of a Kasteleyn signing K of Z, so that |det K| counts the
+    tilings, or None when K = Z; linear in the region.
 
     A bounded face of the region's planar bipartite graph is a hexagon round
     an inner vertex, where Z meets Kasteleyn's condition, or the inside of a
@@ -328,7 +351,13 @@ def _kasteleyn_cut(region: TriangularRegion) -> set[int]:
             raise InternalCheckError(f"the boundary curve through {(p, y, z)} has edge charges summing to {total}")
         if total // 3 % 2:
             cut ^= {(p - 1, y + t, z - t - 1) for t in range(z)}
-    return {i for i, n in enumerate(region.down) if n in cut and (n[0] + 1, n[1], n[2]) in ups}
+    negated = [i for i, n in enumerate(region.down) if n in cut and (n[0] + 1, n[1], n[2]) in ups]
+    if not negated:
+        return None
+    rows = [dict.fromkeys(js, 1) for js in region.adjacency]
+    for i in negated:
+        rows[i][region.adjacency[i][0]] = -1  # the entry at x*n
+    return rows
 
 
 def _shifts(t: tuple[int, int, int], s: int) -> tuple[tuple[int, int, int], ...]:
@@ -369,156 +398,6 @@ def merge_touching_punctures(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
             merged = True
             break
     return current
-
-
-# ---------------------------------------------------------------------------
-# Tileability
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HallViolator:
-    """A set of same-orientation triangles with too small a neighborhood."""
-
-    orientation: str  # "up" or "down"
-    labels: tuple[Monomial, ...]
-
-
-@dataclass(frozen=True)
-class TileabilityResult:
-    tileable: bool
-    tiling: Tiling | None
-    violator: HallViolator | None
-
-    def __bool__(self) -> bool:
-        return self.tileable
-
-
-def _hopcroft_karp(adj: tuple[tuple[int, ...], ...], n_right: int) -> tuple[list[int], list[int]]:
-    """Maximum matching on a bipartite graph given as left adjacency lists."""
-    inf = float("inf")
-    match_left = [-1] * len(adj)
-    match_right = [-1] * n_right
-    while True:
-        dist = [inf] * len(adj)
-        queue = [i for i in range(len(adj)) if match_left[i] == -1]
-        for i in queue:
-            dist[i] = 0
-        found_free = False
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
-            for j in adj[i]:
-                k = match_right[j]
-                if k == -1:
-                    found_free = True
-                elif dist[k] is inf:
-                    dist[k] = dist[i] + 1
-                    queue.append(k)
-        if not found_free:
-            return match_left, match_right
-
-        # a depth-first augmenting search from each free left vertex along
-        # rising dist, partners in adjacency order, on an explicit stack of
-        # [vertex, next partner position]; a dead end gets distance inf
-        for start in range(len(adj)):
-            stack = [[start, 0]] if match_left[start] == -1 else []
-            while stack:
-                i, t = frame = stack[-1]
-                if t == len(adj[i]):
-                    dist[i] = inf
-                    stack.pop()
-                    continue
-                frame[1] += 1
-                k = match_right[adj[i][t]]
-                if k == -1:  # flip the path into the matching
-                    for i, t in stack:
-                        match_left[i], match_right[adj[i][t - 1]] = adj[i][t - 1], i
-                    break
-                if dist[k] == dist[i] + 1:
-                    stack.append([k, 0])
-
-
-def is_tileable(region: TriangularRegion) -> TileabilityResult:
-    """Decide tileability by maximum matching, with a certificate either way.
-
-    A tileable region is exactly one whose adjacency graph has a perfect
-    matching; the witness is returned as a tiling.  Otherwise the result
-    carries a Hall violator: a set of triangles of one orientation with
-    strictly fewer neighbors than members.  Unbalanced regions are never
-    tileable and the heavier side as a whole is the violator.
-    """
-    nu, nd = len(region.up), len(region.down)
-    if nu != nd:
-        if nu > nd:
-            return TileabilityResult(False, None, HallViolator("up", region.up))
-        return TileabilityResult(False, None, HallViolator("down", region.down))
-    if nu == 0:
-        return TileabilityResult(True, Tiling(()), None)
-    adj = region.adjacency
-    match_down, match_up = _hopcroft_karp(adj, nu)
-    if all(j != -1 for j in match_down):
-        tiling = Tiling({region.down[i]: region.up[j] for i, j in enumerate(match_down)})
-        return TileabilityResult(True, tiling, None)
-    # Koenig-style violator: downs reachable by alternating paths from the
-    # unmatched ones; their whole neighborhood is matched back inside the set.
-    reachable = {i for i in range(nd) if match_down[i] == -1}
-    frontier = list(reachable)
-    while frontier:
-        new_frontier = []
-        for i in frontier:
-            for j in adj[i]:
-                k = match_up[j]
-                if k != -1 and k not in reachable:
-                    reachable.add(k)
-                    new_frontier.append(k)
-        frontier = new_frontier
-    violator = HallViolator("down", tuple(region.down[i] for i in sorted(reachable)))
-    return TileabilityResult(False, None, violator)
-
-
-def first_tiling(region: TriangularRegion) -> Tiling | None:
-    """The first tiling that ``tilings.enumerate_tilings`` streams, or None.
-
-    Starting from a Hopcroft-Karp matching, down triangle i in turn takes
-    its first partner in ``adjacency[i]`` that the later downs can still be
-    matched around: partner j qualifies when an alternating cycle leads from
-    j back to the current partner of i through up triangles not yet fixed,
-    and that cycle is swapped in (``taker`` maps each up the search reaches
-    to the down that would take it).  Quadratic in the region at worst, but
-    with no search over tilings.
-    """
-    if len(region.up) != len(region.down):
-        return None
-    adj = region.adjacency
-    match_down, match_up = _hopcroft_karp(adj, len(region.up))
-    if -1 in match_down:
-        return None
-    fixed = [False] * len(match_up)
-    for i, partners in enumerate(adj):
-        target = match_down[i]
-        for j in partners:
-            if j == target:
-                break
-            if fixed[j]:
-                continue
-            taker = {j: i}
-            stack = [j]
-            while stack and target not in taker:
-                k = match_up[stack.pop()]
-                for w in adj[k]:
-                    if not fixed[w] and w not in taker:
-                        taker[w] = k
-                        stack.append(w)
-            if target in taker:
-                u, k = target, -1
-                while k != i:
-                    k = taker[u]
-                    match_down[k], match_up[u], u = u, k, match_down[k]
-                break
-        fixed[match_down[i]] = True
-    return Tiling(tuple(zip(region.down, (region.up[j] for j in match_down))))
 
 
 # ---------------------------------------------------------------------------

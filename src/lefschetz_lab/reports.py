@@ -11,8 +11,8 @@ import json
 from typing import Any
 
 from .ideals import MonomialIdeal, hilbert_value, parse_ideal
-from .regions import Balance, balance, build_region, is_tileable, puncture_analysis
-from .tilings import EnumerationReport
+from .regions import Balance, balance, build_region, puncture_analysis
+from .tilings import EnumerationReport, is_tileable
 from .wlp import DegreeReport, WlpReport
 
 SCHEMA = "lefschetz-lab/1"

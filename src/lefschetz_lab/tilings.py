@@ -18,16 +18,13 @@ each matched pair (n, v*n) is a lozenge.  Two signs are attached to a tiling:
 The signed sums over all tilings reproduce, up to one global sign, the
 determinants of the bi-adjacency matrix and of the lattice path matrix.  On a
 balanced region the product of the two signs is the same for every tiling.
-So ``signed_enumeration`` visits no tiling: the signed sparse elimination of
-the bi-adjacency matrix Z gives det Z, the matching sum, and the same
-elimination of its Kasteleyn signing K, Z negated along a cut from each
-hole of odd charge, gives the count |det K|.  Without such a hole K = Z:
-every tiling then has the same matching sign (Cook and Nagel).  One witness
-tiling gives the constant that turns the matching sum into the path sum.
-``enumerate_tilings`` streams every tiling by backtracking and serves as
-the test oracle for these shortcuts; ``msgn``, ``lpsgn`` and
-``to_path_family`` work on ``Tiling`` objects and check them against the
-region.
+So ``signed_enumeration`` visits no tiling: det Z is the matching sum and
+|det K|, for the Kasteleyn signing K of Z that ``regions`` builds, is the
+count; one witness tiling gives the constant that turns the matching sum
+into the path sum.  This module owns the matchings: ``is_tileable`` (the
+witness, or a Hall violator) and ``first_tiling`` start from one
+Hopcroft-Karp matching.  ``enumerate_tilings`` streams every tiling by
+backtracking and serves as the test oracle for these shortcuts.
 """
 
 from __future__ import annotations
@@ -36,16 +33,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
-from .ideals import Monomial, VARIABLES, Y
-from .intlinalg import (
-    _perm_sign,
-    _region_rows,
-    _sparse_determinant,
-    determinant,
-    lattice_path_matrix,
-    lattice_points,
-    region_determinant,
-)
+from .ideals import Monomial, VARIABLES, Y, monomials_of_degree
+from .intlinalg import determinant, lattice_path_matrix, lattice_points, permutation_sign
+from .regions import TriangularRegion, kasteleyn_determinant, region_determinant
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,7 @@ def msgn(region, tiling: Tiling) -> int:
 
 def _matching_sign(region, tiling: Tiling) -> int:
     up_rank = {m: j for j, m in enumerate(region.up)}
-    return _perm_sign([up_rank[up] for _, up in tiling.pairs])
+    return permutation_sign([up_rank[up] for _, up in tiling.pairs])
 
 
 def to_path_family(region, tiling: Tiling) -> PathFamily:
@@ -171,7 +161,7 @@ def _path_family(region, tiling: Tiling, pts) -> PathFamily:
 
 def lpsgn(region, tiling: Tiling) -> int:
     """Path sign: parity of the A-vertex to E-vertex permutation."""
-    return _perm_sign(list(to_path_family(region, tiling).permutation))
+    return permutation_sign(list(to_path_family(region, tiling).permutation))
 
 
 def tiling_from_path_family(region, family: PathFamily) -> Tiling:
@@ -191,6 +181,141 @@ def tiling_from_path_family(region, family: PathFamily) -> Tiling:
 
 
 @dataclass(frozen=True)
+class HallViolator:
+    """A set of same-orientation triangles with too small a neighborhood."""
+
+    orientation: str  # "up" or "down"
+    labels: tuple[Monomial, ...]
+
+
+@dataclass(frozen=True)
+class TileabilityResult:
+    tileable: bool
+    tiling: Tiling | None
+    violator: HallViolator | None
+
+    def __bool__(self) -> bool:
+        return self.tileable
+
+
+def _hopcroft_karp(adj: tuple[tuple[int, ...], ...], n_right: int) -> tuple[list[int], list[int]]:
+    """Maximum matching on a bipartite graph given as left adjacency lists."""
+    inf = float("inf")
+    match_left = [-1] * len(adj)
+    match_right = [-1] * n_right
+    while True:
+        dist = [0 if j == -1 else inf for j in match_left]
+        queue = [i for i, j in enumerate(match_left) if j == -1]
+        found_free = False
+        for i in queue:  # a breadth-first search: the queue grows as it is read
+            for j in adj[i]:
+                k = match_right[j]
+                if k == -1:
+                    found_free = True
+                elif dist[k] is inf:
+                    dist[k] = dist[i] + 1
+                    queue.append(k)
+        if not found_free:
+            return match_left, match_right
+
+        # a depth-first augmenting search from each free left vertex along
+        # rising dist, partners in adjacency order, on an explicit stack of
+        # [vertex, next partner position]; a dead end gets distance inf
+        for start in range(len(adj)):
+            stack = [[start, 0]] if match_left[start] == -1 else []
+            while stack:
+                i, t = frame = stack[-1]
+                if t == len(adj[i]):
+                    dist[i] = inf
+                    stack.pop()
+                    continue
+                frame[1] += 1
+                k = match_right[adj[i][t]]
+                if k == -1:  # flip the path into the matching
+                    for i, t in stack:
+                        match_left[i], match_right[adj[i][t - 1]] = adj[i][t - 1], i
+                    break
+                if dist[k] == dist[i] + 1:
+                    stack.append([k, 0])
+
+
+def is_tileable(region: TriangularRegion) -> TileabilityResult:
+    """Decide tileability by maximum matching, with a certificate either way.
+
+    A tileable region is exactly one whose adjacency graph has a perfect
+    matching; the witness is returned as a tiling.  Otherwise the result
+    carries a Hall violator: a set of triangles of one orientation with
+    strictly fewer neighbors than members.  Unbalanced regions are never
+    tileable and the heavier side as a whole is the violator.
+    """
+    nu, nd = len(region.up), len(region.down)
+    if nu != nd:
+        if nu > nd:
+            return TileabilityResult(False, None, HallViolator("up", region.up))
+        return TileabilityResult(False, None, HallViolator("down", region.down))
+    adj = region.adjacency
+    match_down, match_up = _hopcroft_karp(adj, nu)
+    if all(j != -1 for j in match_down):
+        tiling = Tiling({region.down[i]: region.up[j] for i, j in enumerate(match_down)})
+        return TileabilityResult(True, tiling, None)
+    # Koenig-style violator: downs reachable by alternating paths from the
+    # unmatched ones; their whole neighborhood is matched back inside the set.
+    reachable = {i for i in range(nd) if match_down[i] == -1}
+    stack = list(reachable)
+    while stack:
+        for j in adj[stack.pop()]:
+            k = match_up[j]
+            if k != -1 and k not in reachable:
+                reachable.add(k)
+                stack.append(k)
+    violator = HallViolator("down", tuple(region.down[i] for i in sorted(reachable)))
+    return TileabilityResult(False, None, violator)
+
+
+def first_tiling(region: TriangularRegion) -> Tiling | None:
+    """The first tiling that ``enumerate_tilings`` streams, or None.
+
+    Starting from a Hopcroft-Karp matching, down triangle i in turn takes
+    its first partner in ``adjacency[i]`` that the later downs can still be
+    matched around: partner j qualifies when an alternating cycle leads from
+    j back to the current partner of i through up triangles not yet fixed,
+    and that cycle is swapped in (``taker`` maps each up the search reaches
+    to the down that would take it).  Quadratic in the region at worst, but
+    with no search over tilings.
+    """
+    if len(region.up) != len(region.down):
+        return None
+    adj = region.adjacency
+    match_down, match_up = _hopcroft_karp(adj, len(region.up))
+    if -1 in match_down:
+        return None
+    fixed = [False] * len(match_up)
+    for i, partners in enumerate(adj):
+        target = match_down[i]
+        for j in partners:
+            if j == target:
+                break
+            if fixed[j]:
+                continue
+            taker = {j: i}
+            stack = [j]
+            while stack and target not in taker:
+                k = match_up[stack.pop()]
+                for w in adj[k]:
+                    if not fixed[w] and w not in taker:
+                        taker[w] = k
+                        stack.append(w)
+            if target in taker:
+                u, k = target, -1
+                while k != i:
+                    k = taker[u]
+                    match_down[k], match_up[u], u = u, k, match_down[k]
+                break
+        fixed[match_down[i]] = True
+    return Tiling(tuple(zip(region.down, (region.up[j] for j in match_down))))
+
+
+@dataclass(frozen=True)
 class EnumerationReport:
     """All six enumeration quantities of a balanced region, cross-checked."""
 
@@ -202,42 +327,41 @@ class EnumerationReport:
     per_z: int
 
 
-def signed_enumeration(region) -> EnumerationReport:
+def signed_enumeration(region: TriangularRegion) -> EnumerationReport:
     """Count tilings, both signed sums, both determinants, and the permanent.
 
     No tiling is visited.  The signed sparse elimination of Z gives det Z
-    (``intlinalg.region_determinant``), which is the matching sum.  The
-    count and per Z are |det K| for the Kasteleyn signing K of Z: Z with
-    its entries negated along one cut from each hole of odd charge
-    (``regions._kasteleyn_cut``; Kasteleyn 1967, Kuperberg 1998).  Without
-    such a hole K = Z and det Z is reused.  On a balanced region msgn *
-    lpsgn is the same for every tiling, so the path sum is that constant,
-    read off the witness tiling of ``is_tileable``, times the matching sum;
-    it must match |det N| by Bareiss elimination of the lattice path
-    matrix, per Z must be at least |det Z| and of its parity, and a witness
-    must exist exactly when per Z is positive.  A violation is reported as
-    an internal error, never as a result.
+    (``regions.region_determinant``), which is the matching sum.  The count
+    and per Z are |det K| for the Kasteleyn signing K of Z: Z with its
+    entries negated along one cut from each hole of odd charge
+    (``regions.kasteleyn_determinant``; Kasteleyn 1967, Kuperberg 1998).
+    Without such a hole K = Z and det Z is reused.  On a balanced region
+    msgn * lpsgn is the same for every tiling, so the path sum is that
+    constant, read off the witness tiling of ``is_tileable``, times the
+    matching sum; it must match |det N| by Bareiss elimination of the
+    lattice path matrix, per Z must be at least |det Z| and of its parity,
+    and a witness must exist exactly when per Z is positive.  A violation is
+    an internal error, never a result.  Only a region that no ideal cuts out
+    (an up triangle over a missing down one) may fail the path check; it is
+    refused with a ValueError.
     """
-    from .regions import _kasteleyn_cut, is_tileable  # regions imports this module
-
     if len(region.up) != len(region.down):
         raise ValueError("signed enumeration needs a balanced region")
     det_z = region_determinant(region)
-    per_z = abs(det_z)
-    if cut := _kasteleyn_cut(region):  # the rows of K: row n of the cut has -1 at x*n
-        rows = _region_rows(region)
-        for i in cut:
-            rows[i][region.adjacency[i][0]] = -1
-        per_z = abs(_sparse_determinant(rows, len(rows)))
+    det_k = kasteleyn_determinant(region)
+    per_z = abs(det_z if det_k is None else det_k)
     n_matrix, pts = lattice_path_matrix(region)
     witness = is_tileable(region).tiling
     sign = 0
     if witness is not None:
         _check_is_tiling(region, witness)
-        sign = _matching_sign(region, witness) * _perm_sign(_path_family(region, witness, pts).permutation)
+        sign = _matching_sign(region, witness) * permutation_sign(_path_family(region, witness, pts).permutation)
     sum_lpsgn = sign * det_z
     det_n = determinant(n_matrix)
     if abs(sum_lpsgn) != abs(det_n):
+        missing = (n for n in monomials_of_degree(region.d - 2) if n not in region.down_set)
+        if any(v * n in region.up_set for n in missing for v in VARIABLES):
+            raise ValueError("no ideal cuts out this region (an up triangle lies over a missing down one)")
         raise InternalCheckError(f"|sum lpsgn| {abs(sum_lpsgn)} != |det N| {abs(det_n)}")
     if per_z < abs(det_z) or (per_z - det_z) % 2 or (witness is None) != (per_z == 0):
         raise InternalCheckError(f"per Z {per_z} is below det Z {det_z}, of another parity, or wrong on tileability")

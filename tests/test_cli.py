@@ -112,11 +112,21 @@ def test_count_and_region_answer_a_long_thin_strip():
         (["ci", "300", "300", "300"], "MAX_REGION_TRIANGLES"),
         (["count", "x^200,y^200,z^200", "--d", "300"], "MAX_REGION_TRIANGLES"),
         (["wlp", "x^200,y^200,z^200"], "MAX_REGION_TRIANGLES"),
+        # a picture draws all d^2 triangles, however few the region has
+        (["region", "x^2,y^1000,z^1000", "--d", "1001", "--svg", "strip.svg"], "MAX_REGION_TRIANGLES"),
+        (["region", "x^2,y^1000,z^1000", "--d", "1001", "--ascii"], "MAX_REGION_TRIANGLES"),
+        (["count", "x^2,y^1000,z^1000", "--d", "1001", "--svg", "strip.svg"], "MAX_REGION_TRIANGLES"),
+        (["count", "x^2,y^3000,z^3000", "--d", "3001", "--svg", "strip.svg"], "MAX_REGION_TRIANGLES"),
     ],
 )
-def test_oversized_inputs_are_refused_by_name(argv, limit):
+def test_oversized_inputs_are_refused_by_name(argv, limit, monkeypatch, tmp_path):
+    # refused before the region is built or a file is written
+    monkeypatch.chdir(tmp_path)
+    if "--svg" in argv or "--ascii" in argv:
+        monkeypatch.setattr(cli, "build_region", lambda *args: pytest.fail("built the region"))
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "") and limit in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oversized_wlp_is_refused_before_any_reduction(monkeypatch):

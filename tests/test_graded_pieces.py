@@ -1,7 +1,7 @@
 """Property tests: every graded piece read off ``standard_monomials`` and
 ``TriangularRegion.adjacency`` matches brute-force membership filtering, the
-rows ``degree_rows`` reads off the staircase are those of the built region,
-and the Hilbert function counted off the staircase matches
+rows ``degree_rows`` reads off the staircase are those of the built region
+and have the nonzero pattern of the multiplication map, and the Hilbert function counted off the staircase matches
 ``standard_monomials`` at depth."""
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from lefschetz_lab import (
     standard_monomials,
 )
 from lefschetz_lab.ideals import hilbert_value
-from lefschetz_lab.intlinalg import _region_rows
 from lefschetz_lab.regions import degree_rows
+from _oracles import multiplication_matrix
 
 VARS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 
@@ -95,10 +95,14 @@ artinian_ideals = st.builds(
 @example(ideal=parse_ideal("x^2*y^2"), d=12)  # slices with gaps
 def test_degree_rows_are_the_rows_of_the_built_region(ideal, d):
     n_up, rows = degree_rows(ideal, d)
-    expected = _region_rows(build_region(ideal, d))
-    assert rows == expected
-    assert [list(row) for row in rows] == [list(row) for row in expected]  # key order: x*n, y*n, z*n
+    adjacency = build_region(ideal, d).adjacency
+    assert rows == [dict.fromkeys(js, 1) for js in adjacency]
+    assert [tuple(row) for row in rows] == list(adjacency)  # key order: x*n, y*n, z*n
     assert (n_up, len(rows)) == (hilbert_value(ideal, d - 1), hilbert_value(ideal, d - 2))
+    # both sides above come from one row builder; polynomial arithmetic does not
+    m = multiplication_matrix(ideal, d)
+    assert (m.rows, m.cols) == (n_up, len(rows))
+    assert [sorted(row) for row in rows] == [[j for j in range(m.rows) if m.entries[j][i]] for i in range(m.cols)]
 
 
 @st.composite

@@ -24,8 +24,8 @@ from lefschetz_lab import (
     to_path_family,
 )
 from lefschetz_lab import intlinalg
-from lefschetz_lab.intlinalg import _region_rows, _sparse_determinant
-from lefschetz_lab.regions import _kasteleyn_cut
+from lefschetz_lab.errors import InternalCheckError
+from lefschetz_lab.regions import kasteleyn_determinant
 from _oracles import (
     has_floating_group,
     off_the_sides,
@@ -139,6 +139,35 @@ def test_signed_enumeration_needs_balance():
         signed_enumeration(build_region(parse_ideal("x^4,y^4,z^4,x^2z^2"), 5))
 
 
+def test_signed_enumeration_refuses_a_region_no_ideal_cuts_out(monkeypatch):
+    # a degree-5 region where up xyz^2 is present over the missing down yz^2:
+    # its path sum is 0 and its det N is 1
+    region = random_balanced_region(random.Random(39250), 8)
+    with pytest.raises(ValueError, match="no ideal cuts out this region") as refused:
+        signed_enumeration(region)
+    assert not isinstance(refused.value, InternalCheckError)
+    # on a region an ideal cuts out, a failed path check is the program's fault
+    from lefschetz_lab import tilings
+
+    monkeypatch.setattr(tilings, "determinant", lambda matrix: 21)
+    with pytest.raises(InternalCheckError, match="det N"):
+        signed_enumeration(build_region(parse_ideal("x^4,y^4,z^4"), 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32))
+@example(seed=39250)
+def test_signed_enumeration_raises_no_internal_error(seed):
+    # every balanced region gets a report or a refusal by name
+    region = random_balanced_region(random.Random(seed), 8)
+    try:
+        signed_enumeration(region)
+    except InternalCheckError as exc:
+        pytest.fail(f"internal check failed: {exc}")
+    except ValueError as exc:
+        assert "no ideal cuts out this region" in str(exc)
+
+
 def test_signed_enumeration_count_cap(monkeypatch):
     # a hexagon with a floating side-2 puncture: 324 tilings
     punctured = build_region(parse_ideal("x^8,y^8,z^8,x^2*y^2*z^2"), 10)
@@ -181,10 +210,8 @@ def test_signed_enumeration_matches_public_signs(seed, extra):
 
 def det_k(region) -> int:
     """det K for the Kasteleyn signing of Z that ``signed_enumeration`` counts with."""
-    rows = _region_rows(region)
-    for i in _kasteleyn_cut(region):
-        rows[i][region.adjacency[i][0]] = -1
-    return _sparse_determinant(rows, len(rows))
+    det = kasteleyn_determinant(region)
+    return region_determinant(region) if det is None else det
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,7 +20,6 @@ from lefschetz_lab import (
     conjecture_scan,
     parse_ideal,
     peak_shortcut,
-    region_invariant_factors,
     socle_profile,
     type2_char0_verdict,
     type2_condition_range,
@@ -29,7 +28,7 @@ from lefschetz_lab import (
     wlp_full_scan,
 )
 from lefschetz_lab.ideals import ALL_PERMUTATIONS
-from lefschetz_lab.intlinalg import biadjacency
+from lefschetz_lab.intlinalg import biadjacency, smith_invariant_factors
 from lefschetz_lab.wlp import (
     _degree_factors,
     _primes_up_to,
@@ -103,7 +102,7 @@ def _count_region_reductions(monkeypatch) -> list:
 
     monkeypatch.setattr(wlp, "degree_rows", counted)
     for module in (wlp, intlinalg):
-        for name in ("biadjacency", "region_invariant_factors", "smith_invariant_factors", "bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
+        for name in ("biadjacency", "smith_invariant_factors", "bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(intlinalg.IntMatrix, "__init__", forbidden)
@@ -424,7 +423,7 @@ def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch)
     # admitted ideal's own region, degree by degree
     from lefschetz_lab import wlp
 
-    expected = [region_invariant_factors(build_region(ideal, d)) for ideal, d in _admitted_degrees(4, 31)]
+    expected = [smith_invariant_factors(biadjacency(build_region(ideal, d))) for ideal, d in _admitted_degrees(4, 31)]
     seen = []
 
     def spy(factors, primes):
@@ -446,12 +445,12 @@ def test_region_factors_survive_truncation_and_permutation(seed, extra):
     assert len(set(keys.values())) == len(keys)
     for d, key in keys.items():
         region = build_region(ideal, d)
-        factors = region_invariant_factors(region)
+        factors = smith_invariant_factors(biadjacency(region))
         truncated = MonomialIdeal(g for g in ideal.gens if g.degree < d)
         for other in (truncated, *(ideal.permuted(sigma) for sigma in ALL_PERMUTATIONS)):
             twin = build_region(other, d)
             assert (len(twin.up), len(twin.down)) == (len(region.up), len(region.down)), (str(ideal), str(other), d)
-            assert region_invariant_factors(twin) == factors, (str(ideal), str(other), d)
+            assert smith_invariant_factors(biadjacency(twin)) == factors, (str(ideal), str(other), d)
             assert _region_key(other, d, {}) == key, (str(ideal), str(other), d)
 
 
