@@ -9,6 +9,7 @@ subcommand takes ``--json`` for machine-readable output under the
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ExactnessError, NotArtinianError, ParseError
@@ -326,22 +327,45 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _mac_terms(a: int, b: int, c: int) -> tuple[list[int], list[int]]:
+    """Mac(a, b, c) = H(a) H(b) H(c) H(a+b+c) / (H(a+b) H(a+c) H(b+c))."""
+    return [a, b, c, a + b + c], [a + b, a + c, b + c]
+
+
+def _check_printable(desc: str, num: list[int], den: list[int]) -> None:
+    """Refuse the value H(num[0]) H(num[1]) ... / (H(den[0]) ...) before it
+    is computed if it has more decimal digits than the interpreter prints;
+    log10 H(n) is the sum of log10 i! over i < n, from ``math.lgamma``.  A
+    negative argument is left to the formula's own hypothesis checks."""
+    logs = [math.fsum(map(math.lgamma, range(2, n + 1))) / math.log(10) for n in num + den]
+    digits = math.floor(sum(logs[: len(num)]) - sum(logs[len(num) :])) + 1
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < digits and min(num + den) >= 0:
+        raise ValueError(f"{desc} has about {digits} decimal digits, above sys.get_int_max_str_digits() = {limit}")
+
+
 def _cmd_formula(args) -> int:
+    # each value is a quotient of hyperfactorials H(n), of these arguments n
     if args.formula == "mac":
-        value = macmahon(args.a, args.b, args.c)
-        desc = f"Mac({args.a},{args.b},{args.c})"
+        desc, (num, den) = f"Mac({args.a},{args.b},{args.c})", _mac_terms(args.a, args.b, args.c)
+        compute, params = macmahon, (args.a, args.b, args.c)
     elif args.formula == "hyper":
-        value = hyperfactorial(args.n)
-        desc = f"H({args.n})"
+        desc, num, den = f"H({args.n})", [args.n], []
+        compute, params = hyperfactorial, (args.n,)
     elif args.formula == "splitdet":
-        value = split_binom_det(SplitBinomParams(args.p, args.q, args.r, args.m, args.n))
-        desc = f"splitdet(p={args.p},q={args.q},r={args.r},m={args.m},n={args.n})"
+        p, q, r, m, n = args.p, args.q, args.r, args.m, args.n
+        desc = f"splitdet(p={p},q={q},r={r},m={m},n={n})"
+        (num1, den1), (num2, den2) = _mac_terms(m, q, r), _mac_terms(n - m, p - q - r, r)
+        num, den = num1 + num2 + [q + r, p - q, n + r, n + p], den1 + den2 + [n + p - q, n + q + r, p, r]
+        compute, params = split_binom_det, (SplitBinomParams(p, q, r, m, n),)
     else:
-        value = two_mahonian_enumeration(args.a, args.b, args.c, args.alpha, args.beta, args.d)
-        desc = (
-            f"twomahonian(a={args.a},b={args.b},c={args.c},"
-            f"alpha={args.alpha},beta={args.beta},d={args.d})"
-        )
+        a, b, c, alpha, beta, d = params = args.a, args.b, args.c, args.alpha, args.beta, args.d
+        desc, s = f"twomahonian(a={a},b={b},c={c},alpha={alpha},beta={beta},d={d})", d - (alpha + beta)
+        (num1, den1), (num2, den2) = _mac_terms(a + beta - d, d - a, s), _mac_terms(alpha + b - d, d - b, s)
+        num, den = num1 + num2 + [d - a + s, d - b + s, d - c + s, d], den1 + den2 + [a, b, c, s]
+        compute = two_mahonian_enumeration
+    _check_printable(desc, num, den)
+    value = compute(*params)
     if args.json:
         print(dumps({"schema": SCHEMA, "report": "formula", "expression": desc, "value": value}))
         return 0

@@ -125,12 +125,6 @@ class Permutation(NamedTuple):
             e[target] = m[k]
         return Monomial(*e)
 
-    def inverse(self) -> "Permutation":
-        inv = [0, 0, 0]
-        for k, target in enumerate(self.image):
-            inv[target] = k
-        return Permutation(tuple(inv))
-
     def __str__(self) -> str:
         return ", ".join(f"{_VAR_NAMES[k]}->{_VAR_NAMES[t]}" for k, t in enumerate(self.image))
 

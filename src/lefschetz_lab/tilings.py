@@ -15,16 +15,15 @@ each matched pair (n, v*n) is a lozenge.  Two signs are attached to a tiling:
   tiling into vertex-disjoint walks from the A-vertices to the E-vertices,
   and the path sign is the parity of the induced start-to-end permutation.
 
-The signed sums over all tilings reproduce, up to one global sign, the
-determinants of the bi-adjacency matrix and of the lattice path matrix.  On a
-balanced region the product of the two signs is the same for every tiling.
-So ``signed_enumeration`` visits no tiling: det Z is the matching sum and
-|det K|, for the Kasteleyn signing K of Z that ``regions`` builds, is the
-count; one witness tiling gives the constant that turns the matching sum
-into the path sum.  This module owns the matchings: ``is_tileable`` (the
-witness, or a Hall violator) and ``first_tiling`` start from one
-Hopcroft-Karp matching.  ``enumerate_tilings`` streams every tiling by
-backtracking and serves as the test oracle for these shortcuts.
+The signed sums over all tilings are determinants: the matching sum is det Z
+and, on a region an ideal cuts out, the path sum is det N, of the lattice
+path matrix (the Lindstrom-Gessel-Viennot lemma; Lindstrom 1973,
+Gessel-Viennot 1985).  So ``signed_enumeration`` builds no tiling; |det K|,
+for the Kasteleyn signing K of Z that ``regions`` builds, is the count.  The
+module owns the matchings: ``is_tileable`` (a witness tiling, or a Hall
+violator; ``signed_enumeration`` asks it only where det Z = 0) and
+``first_tiling`` start from one Hopcroft-Karp matching.  ``enumerate_tilings``
+streams every tiling by backtracking, the test oracle for these shortcuts.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ class Tiling:
             pairs = pairs.items()
         ordered = tuple(sorted(pairs, key=lambda p: p[0].revlex_key()))
         object.__setattr__(self, "pairs", ordered)
-
-    def up_partner(self) -> dict[Monomial, Monomial]:
-        """Map each upward triangle to the downward one it is fused with."""
-        return {up: down for down, up in self.pairs}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -115,10 +110,6 @@ def msgn(region, tiling: Tiling) -> int:
     if len(region.up) != len(region.down):
         raise ValueError("matching sign needs a balanced region")
     _check_is_tiling(region, tiling)
-    return _matching_sign(region, tiling)
-
-
-def _matching_sign(region, tiling: Tiling) -> int:
     up_rank = {m: j for j, m in enumerate(region.up)}
     return permutation_sign([up_rank[up] for _, up in tiling.pairs])
 
@@ -134,12 +125,9 @@ def to_path_family(region, tiling: Tiling) -> PathFamily:
     if len(region.up) != len(region.down):
         raise ValueError("path families need a balanced region")
     _check_is_tiling(region, tiling)
-    return _path_family(region, tiling, lattice_points(region))
-
-
-def _path_family(region, tiling: Tiling, pts) -> PathFamily:
+    pts = lattice_points(region)
     up_set = region.up_set
-    partner = tiling.up_partner()
+    partner = {up: down for down, up in tiling.pairs}
     e_index = {label: k for k, (label, _) in enumerate(pts.e_points)}
     paths = []
     images = []
@@ -330,39 +318,31 @@ class EnumerationReport:
 def signed_enumeration(region: TriangularRegion) -> EnumerationReport:
     """Count tilings, both signed sums, both determinants, and the permanent.
 
-    No tiling is visited.  The signed sparse elimination of Z gives det Z
-    (``regions.region_determinant``), which is the matching sum.  The count
-    and per Z are |det K| for the Kasteleyn signing K of Z: Z with its
-    entries negated along one cut from each hole of odd charge
-    (``regions.kasteleyn_determinant``; Kasteleyn 1967, Kuperberg 1998).
-    Without such a hole K = Z and det Z is reused.  On a balanced region
-    msgn * lpsgn is the same for every tiling, so the path sum is that
-    constant, read off the witness tiling of ``is_tileable``, times the
-    matching sum; it must match |det N| by Bareiss elimination of the
-    lattice path matrix, per Z must be at least |det Z| and of its parity,
-    and a witness must exist exactly when per Z is positive.  A violation is
-    an internal error, never a result.  Only a region that no ideal cuts out
-    (an up triangle over a missing down one) may fail the path check; it is
-    refused with a ValueError.
+    No tiling is visited or built.  The signed sparse elimination of Z
+    (``regions.region_determinant``) gives det Z, the matching sum, and
+    Bareiss elimination of N gives det N, the path sum by
+    Lindstrom-Gessel-Viennot.  The count and per Z are |det K| for the
+    Kasteleyn signing K of Z: Z negated along one cut from each hole of odd
+    charge (``regions.kasteleyn_determinant``; Kasteleyn 1967, Kuperberg
+    1998), or Z itself, whose det is reused, without such a hole.  |det Z|
+    must equal |det N|, and per Z be at least |det Z| and of its parity.
+    Only where det Z = 0, which leaves tileability open, must
+    ``is_tileable`` agree with per Z > 0.  A violation is an internal error,
+    never a result, except that a region no ideal cuts out (an up triangle
+    over a missing down one) failing the determinant check is refused with
+    a ValueError.
     """
     if len(region.up) != len(region.down):
         raise ValueError("signed enumeration needs a balanced region")
     det_z = region_determinant(region)
     det_k = kasteleyn_determinant(region)
     per_z = abs(det_z if det_k is None else det_k)
-    n_matrix, pts = lattice_path_matrix(region)
-    witness = is_tileable(region).tiling
-    sign = 0
-    if witness is not None:
-        _check_is_tiling(region, witness)
-        sign = _matching_sign(region, witness) * permutation_sign(_path_family(region, witness, pts).permutation)
-    sum_lpsgn = sign * det_z
-    det_n = determinant(n_matrix)
-    if abs(sum_lpsgn) != abs(det_n):
+    det_n = determinant(lattice_path_matrix(region)[0])
+    if abs(det_z) != abs(det_n):
         missing = (n for n in monomials_of_degree(region.d - 2) if n not in region.down_set)
         if any(v * n in region.up_set for n in missing for v in VARIABLES):
             raise ValueError("no ideal cuts out this region (an up triangle lies over a missing down one)")
-        raise InternalCheckError(f"|sum lpsgn| {abs(sum_lpsgn)} != |det N| {abs(det_n)}")
-    if per_z < abs(det_z) or (per_z - det_z) % 2 or (witness is None) != (per_z == 0):
+        raise InternalCheckError(f"|det Z| {abs(det_z)} != |det N| {abs(det_n)}")
+    if per_z < abs(det_z) or (per_z - det_z) % 2 or (det_z == 0 and is_tileable(region).tileable != (per_z > 0)):
         raise InternalCheckError(f"per Z {per_z} is below det Z {det_z}, of another parity, or wrong on tileability")
-    return EnumerationReport(per_z, det_z, sum_lpsgn, det_z, det_n, per_z)
+    return EnumerationReport(per_z, det_z, det_n, det_z, det_n, per_z)

@@ -318,7 +318,7 @@ class Type2Form:
 
     Form 1 is (x^a, y^b, z^c, x^alpha y^beta); form 2 additionally carries
     x^alpha z^gamma.  ``permutation`` maps the input ideal onto the
-    normalized generators; its inverse recovers the original names.
+    normalized generators.
     """
 
     form: int

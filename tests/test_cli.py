@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from lefschetz_lab import build_region, cli, enumerate_tilings, macmahon, parse_ideal, tilings
+from lefschetz_lab import build_region, cli, enumerate_tilings, hyperfactorial, macmahon, parse_ideal, tilings
 from lefschetz_lab.cli import COMMANDS, main
 from lefschetz_lab.ideals import MAX_HILBERT_DEGREE, hilbert_function
 from lefschetz_lab.render import render_ascii, render_svg_text
@@ -117,16 +117,31 @@ def test_count_and_region_answer_a_long_thin_strip():
         (["region", "x^2,y^1000,z^1000", "--d", "1001", "--ascii"], "MAX_REGION_TRIANGLES"),
         (["count", "x^2,y^1000,z^1000", "--d", "1001", "--svg", "strip.svg"], "MAX_REGION_TRIANGLES"),
         (["count", "x^2,y^3000,z^3000", "--d", "3001", "--svg", "strip.svg"], "MAX_REGION_TRIANGLES"),
+        # a value too long for str(int), however it would be printed
+        (["formula", "hyper", "100"], "sys.get_int_max_str_digits()"),
+        (["formula", "hyper", "100", "--json"], "sys.get_int_max_str_digits()"),
+        (["formula", "mac", "150", "150", "150"], "sys.get_int_max_str_digits()"),
+        (["formula", "mac", "150", "150", "150", "--json"], "sys.get_int_max_str_digits()"),
+        (["formula", "hyper", "3000"], "sys.get_int_max_str_digits()"),
     ],
 )
 def test_oversized_inputs_are_refused_by_name(argv, limit, monkeypatch, tmp_path):
-    # refused before the region is built or a file is written
+    # refused before the region is built, the value computed or a file written
     monkeypatch.chdir(tmp_path)
     if "--svg" in argv or "--ascii" in argv:
         monkeypatch.setattr(cli, "build_region", lambda *args: pytest.fail("built the region"))
+    for name in ("hyperfactorial", "macmahon"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("computed the value"))
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "") and limit in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_value_just_below_the_print_limit_prints_exactly():
+    # H(80) has 4,037 digits, within the default limit of 4,300
+    code, out, err = run_cli(["formula", "hyper", "80", "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["value"] == hyperfactorial(80)
+    assert len(str(hyperfactorial(80))) == 4037
 
 
 def test_oversized_wlp_is_refused_before_any_reduction(monkeypatch):
@@ -175,6 +190,22 @@ def test_count_answers_without_visiting_tilings():
     payload = json.loads(out)
     assert code == 0
     assert [payload[k] for k in ("count", "sum_msgn", "sum_lpsgn", "per_Z")] == [1001] * 4
+
+
+def test_count_builds_no_witness_tiling(monkeypatch, tmp_path):
+    # the path sum is det N, so count matches nothing and builds or signs no
+    # tiling; with --svg, first_tiling's matching is the only one
+    matchings = []
+    hopcroft_karp, tiling = tilings._hopcroft_karp, tilings.Tiling
+    monkeypatch.setattr(tilings, "_hopcroft_karp", lambda *args: matchings.append(1) or hopcroft_karp(*args))
+    for name in ("Tiling", "PathFamily", "permutation_sign", "msgn", "lpsgn", "to_path_family"):
+        monkeypatch.setattr(tilings, name, lambda *args, name=name: pytest.fail(f"count called {name}"))
+    code, out, _ = run_cli(["count", "x^4,y^4,z^4", "--d", "6"])
+    assert code == 0 and "tilings: 20\n" in out and matchings == []
+    monkeypatch.setattr(tilings, "Tiling", tiling)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["count", "x^4,y^4,z^4", "--d", "6", "--svg", "hexagon.svg"])[0] == 0
+    assert matchings == [1]
 
 
 def test_count_answers_a_large_hexagon():

@@ -17,6 +17,7 @@ from lefschetz_lab import (
     build_region,
     determinant,
     determinantal_divisor,
+    lattice_path_matrix,
     matching_counts,
     parse_ideal,
     permanent,
@@ -157,6 +158,23 @@ def test_region_factors_match_independent_oracles(seed, extra):
         if required <= 4 and max(m.rows, m.cols) <= 8:
             leading = math.prod(factors) if len(factors) == required else 0
             assert leading == all_minors_divisor(m, required), (str(ideal), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_z_and_n_have_the_same_smith_form(seed):
+    """At every degree of a random ideal, Z and the lattice path matrix N
+    have the same non-unit invariant factors, and Z has full rank exactly
+    when N does.  This is a conjecture: ROADMAP item 2 records the evidence
+    behind it, and no proof is known here."""
+    ideal = random_artinian_ideal(random.Random(seed), 9)
+    for d in _scan_range(ideal):
+        region = build_region(ideal, d)
+        z, n = biadjacency(region), lattice_path_matrix(region)[0]
+        z_factors, n_factors = smith_invariant_factors(z), smith_invariant_factors(n)
+        assert [s for s in z_factors if s != 1] == [s for s in n_factors if s != 1], (str(ideal), d)
+        z_full, n_full = len(z_factors) == min(z.rows, z.cols), len(n_factors) == min(n.rows, n.cols)
+        assert z_full == n_full, (str(ideal), d)
 
 
 def _remainders(monkeypatch) -> list:

@@ -154,6 +154,20 @@ def test_signed_enumeration_refuses_a_region_no_ideal_cuts_out(monkeypatch):
         signed_enumeration(build_region(parse_ideal("x^4,y^4,z^4"), 6))
 
 
+@pytest.mark.parametrize("ideal, count", [("x^4,y^4,z^5,x*y*z^3", 12), ("x^5,y^4,z^4,x*y^2*z^2", 8)])
+def test_signed_enumeration_checks_tileability_where_det_z_is_zero(ideal, count, monkeypatch):
+    # det Z = 0 does not show whether a tiling exists, so is_tileable must
+    # agree with the Kasteleyn count there
+    from lefschetz_lab import tilings
+
+    region = build_region(parse_ideal(ideal), 6)
+    rep = signed_enumeration(region)
+    assert (rep.count, rep.det_z, rep.det_n) == (count, 0, 0)
+    monkeypatch.setattr(tilings, "kasteleyn_determinant", lambda region: 0)
+    with pytest.raises(InternalCheckError, match="tileability"):
+        signed_enumeration(region)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32))
 @example(seed=39250)
