@@ -332,12 +332,20 @@ def _mac_terms(a: int, b: int, c: int) -> tuple[list[int], list[int]]:
     return [a, b, c, a + b + c], [a + b, a + c, b + c]
 
 
+def _log_hyperfactorial(n: int) -> float:
+    """ln H(n) = ln G(n+1): the sum of ln i! over i < n up to n = 1000; above,
+    Barnes G's expansion, ending in zeta'(-1) = -0.16542..., whose first
+    dropped term 1/(240 n^2) is below 1e-8."""
+    if n <= 1000:
+        return math.fsum(map(math.lgamma, range(2, n + 1)))
+    return n * n / 2 * math.log(n) - 0.75 * n * n + n / 2 * math.log(2 * math.pi) - math.log(n) / 12 - 0.1654211437004509
+
+
 def _check_printable(desc: str, num: list[int], den: list[int]) -> None:
     """Refuse the value H(num[0]) H(num[1]) ... / (H(den[0]) ...) before it
-    is computed if it has more decimal digits than the interpreter prints;
-    log10 H(n) is the sum of log10 i! over i < n, from ``math.lgamma``.  A
-    negative argument is left to the formula's own hypothesis checks."""
-    logs = [math.fsum(map(math.lgamma, range(2, n + 1))) / math.log(10) for n in num + den]
+    is computed if it has more decimal digits than the interpreter prints.
+    A negative argument is left to the formula's own hypothesis checks."""
+    logs = [_log_hyperfactorial(n) / math.log(10) for n in num + den]
     digits = math.floor(sum(logs[: len(num)]) - sum(logs[len(num) :])) + 1
     limit = sys.get_int_max_str_digits()
     if 0 < limit < digits and min(num + den) >= 0:

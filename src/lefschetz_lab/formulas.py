@@ -35,9 +35,12 @@ def macmahon(a: int, b: int, c: int) -> int:
     lozenge tilings of the hexagon with those side lengths."""
     if min(a, b, c) < 0:
         raise ValueError("box sides must be nonnegative")
-    h = hyperfactorial
-    num = h(a) * h(b) * h(c) * h(a + b + c)
-    den = h(a + b) * h(a + c) * h(b + c)
+    # MacMahon's triple product, telescoped in k and j, over the smallest side
+    a, b, c = sorted((a, b, c))
+    num = den = 1
+    for i in range(1, a + 1):
+        num *= binom(i + b + c - 1, b)
+        den *= binom(i + b - 1, b)
     return exact_quotient(num, den)
 
 

@@ -6,8 +6,8 @@ where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
 ``hilbert_function`` counts every degree off that table in one pass and
 ``socle_profile`` reads the socle off its corners.  One walk over a degree's
 runs, ``_degree_runs``, serves ``hilbert_value``, ``standard_monomials`` (for
-the triangular regions) and ``regions.degree_rows`` (the WLP scan's matrix
-rows); none of them tests a monomial against the generators.
+the triangular regions) and ``regions.degree_complement`` (the Schur
+complement the WLP scan reduces); none of them tests a monomial against the generators.
 ``MonomialIdeal.__contains__`` remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers: determinants, permanents, ranks,
 Smith form, and three matrices of a triangular region (``biadjacency``,
 ``lattice_points``, ``lattice_path_matrix``).  This module owns the matrix
-kernels; ``regions`` builds the sparse rows of a region's Z and hands them
-to ``sparse_determinant`` and ``sparse_invariant_factors``.
+kernels; ``regions`` builds the sparse rows of a region's Z for
+``sparse_determinant``, and of the Schur complement S that carries Z's
+Smith form for ``sparse_invariant_factors``.
 
 Entries are arbitrary-precision Python ints; nothing here ever rounds.  Each
 question has one kernel:
@@ -269,7 +270,7 @@ def smith_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
 
     The rows become sparse rows and go through ``sparse_invariant_factors``,
     the one Smith kernel, which the WLP scan reaches straight from the rows
-    of ``regions.degree_rows``.
+    of S that ``regions.degree_complement`` reads off the staircase.
     """
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
     return sparse_invariant_factors(rows, matrix.cols)

@@ -4,12 +4,13 @@ The degree-d region of an ideal I has one upward unit triangle per degree
 (d-1) monomial outside I and one downward unit triangle per degree (d-2)
 monomial outside I; a downward triangle n is adjacent to the upward triangles
 x*n, y*n, z*n.  This module owns the region and the rows of its matrix Z:
-``_slice_rows`` builds them for ``TriangularRegion.adjacency`` from the
-labels and for the WLP scan's ``degree_rows`` off the staircase, and
+``TriangularRegion.adjacency`` builds them from the labels, and
 ``region_determinant`` and the Kasteleyn signing hand them to the kernels
-of ``intlinalg``.  Matchings and tilings live in ``tilings``.
-Everything here is label arithmetic on exponents; no floating-point
-geometry exists outside the SVG emitter.
+of ``intlinalg``.  For the WLP scan, ``degree_complement`` reads off the
+staircase only the small Schur complement S of Z's unit triangular y-pivot
+block, which carries Z's Smith form.  Matchings and tilings live in
+``tilings``.  Everything here is label arithmetic on exponents; no
+floating-point geometry exists outside the SVG emitter.
 
 Each minimal generator g of degree at most d-1 cuts an upward-pointing
 triangular puncture of side d - deg(g) out of the full region.  Two punctures
@@ -25,6 +26,7 @@ import collections
 import functools
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -82,9 +84,21 @@ class TriangularRegion:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """For each downward triangle n, the indices in ``up`` of x*n, y*n and
-        z*n, in that order, skipping the absent ones: the keys of the rows of
-        Z that ``_slice_rows`` builds from the labels."""
-        return tuple(map(tuple, _slice_rows(_label_runs(self.up), _label_runs(self.down))[1]))
+        z*n, in that order, skipping the absent ones: the keys of Z's rows.
+        Each up slice z^e maps its x exponents to their indices; down
+        n = x^i y^k z^e meets x*n and y*n at i+1 and i in slice z^e, z*n at
+        i in slice z^(e+1); absent ones land on the key None, dropped."""
+        index: dict[int, dict[int, int]] = {}  # slice z^e: x exponent -> up index
+        for j, (i, _, ez) in enumerate(self.up):
+            index.setdefault(ez, {})[i] = j
+        rows = []
+        for ez, group in itertools.groupby(self.down, operator.itemgetter(2)):
+            same, above = index.get(ez, {}).get, index.get(ez + 1, {}).get
+            for i, _, _ in group:
+                row = {same(i + 1): 1, same(i): 1, above(i): 1}
+                row.pop(None, None)
+                rows.append(tuple(row))
+        return tuple(rows)
 
     @property
     def is_empty(self) -> bool:
@@ -136,39 +150,42 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
     return TriangularRegion(d, standard_monomials(ideal, d - 1), standard_monomials(ideal, d - 2))
 
 
-def degree_rows(ideal: MonomialIdeal, d: int) -> tuple[int, list[dict[int, int]]]:
-    """The number of up triangles of the degree-d region and the rows of
-    its Z, read off the staircase runs with no label built or sorted."""
+def degree_complement(ideal: MonomialIdeal, d: int) -> tuple[int, int, list[dict[int, int]], int]:
+    """h(d-1), p, and the rows and column count of S, where Z of the degree-d
+    region is equivalent to 1^p (+) S; read off the staircase, no label built.
+
+    Pivot each down n whose y*n is present on the column y*n.  Another row
+    n' meets that column only if y*n is x*n' or z*n', so ey(n') = ey(n) + 1:
+    ordered by ey the pivot block is unit triangular, hence unimodular, and
+    Smith(Z) = 1^p (+) Smith(S) for its Schur complement S.  Each present up
+    m with ey(m) > 0 is a pivot column (m / y is present), so p is h(d-1)
+    less the A-ups x^(d-1-e) z^e, the columns of S; its rows are the E-downs
+    r, y*r missing.  Clearing the pivot columns carries -v at y*n to x*n and
+    z*n, so S[r][a] is (-1)^ey(r) times the number of +x/+z paths from y*r
+    to a through present ups, counted slice by slice.
+    """
     check_region_size(ideal, d)
-    return _slice_rows(_degree_runs(ideal, d - 1), _degree_runs(ideal, d - 2))
-
-
-def _label_runs(labels: tuple[Monomial, ...]) -> Iterator[tuple[int, tuple[Iterator[int]]]]:
-    """Labels of one degree in ascending revlex order as ``_degree_runs``
-    lists them: per slice z^e, e falling, one run of x exponents."""
-    return ((ez, ((m[0] for m in group),)) for ez, group in itertools.groupby(labels, operator.itemgetter(2)))
-
-
-def _slice_rows(up_runs, down_runs) -> tuple[int, list[dict[int, int]]]:
-    """The one builder of Z's sparse rows: the number of up triangles and,
-    per down triangle n, a row mapping the up indices of x*n, y*n, z*n, in
-    that order, to 1, from the runs of the up and the down labels.  Each up
-    slice z^e maps its x exponents to their indices; down n = x^i y^k z^e
-    meets x*n and y*n at i+1 and i in slice z^e, z*n at i in slice z^(e+1);
-    absent ones land on the key None, dropped."""
-    index: dict[int, dict[int, int]] = {}  # slice z^e: x exponent -> up index
-    n_up = 0
-    for ez, runs in up_runs:
-        index[ez] = dict(zip(itertools.chain.from_iterable(runs), itertools.count(n_up)))
-        n_up += len(index[ez])
+    up = {ez: [i for run in runs for i in run] for ez, runs in _degree_runs(ideal, d - 1)}
+    a_cols = {ez: a for a, ez in enumerate(ez for ez, xs in up.items() if xs and xs[-1] == d - 1 - ez)}
+    n_up = sum(map(len, up.values()))
+    units = n_up - len(a_cols)
+    down = list(_degree_runs(ideal, d - 2))
+    n_e = sum(len(run) for _, runs in down for run in runs) - units
     rows = []
-    for ez, runs in down_runs:
-        same, above = index.get(ez, {}).get, index.get(ez + 1, {}).get
-        for i in itertools.chain.from_iterable(runs):
-            row = {same(i + 1): 1, same(i): 1, above(i): 1}
-            row.pop(None, None)
+    for e0, runs in down if n_e and a_cols else ():
+        for i0 in set(itertools.chain.from_iterable(runs)).difference(up.get(e0, ())):  # y*r missing
+            # cur: signed path counts on up slice z^ez, seeded at y*r; prev: slice z^(ez-1)
+            row, prev, cur, ez = {}, {}, {i0: -1 if (d - i0 - e0) % 2 else 1}, e0
+            while prev or cur:
+                xs = up.get(ez, ())
+                for i in xs[bisect_left(xs, next(iter(cur or prev))):]:
+                    if v := prev.get(i, 0) + cur.get(i - 1, 0):
+                        cur[i] = v
+                if d - 1 - ez in cur:
+                    row[a_cols[ez]] = cur[d - 1 - ez]
+                prev, cur, ez = cur, {}, ez + 1
             rows.append(row)
-    return n_up, rows
+    return n_up, units, rows or [{} for _ in range(n_e)], len(a_cols)
 
 
 def region_determinant(region: TriangularRegion) -> int:

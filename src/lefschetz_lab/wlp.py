@@ -17,13 +17,14 @@ exactly, never by scanning a prime range.
 Each degree is reduced once per run: ``_degree_factors`` caches the
 numbers of up and down triangles of the degree-d region, whose minimum is
 the rank of its bi-adjacency matrix Z that maximal rank requires, and the
-invariant factors of Z, reduced from the sparse rows ``degree_rows`` reads
-off the staircase; no region, label or dense Z is built.  ``wlp_full_scan``
-and ``bad_primes`` read every rank and leading divisor off those factors.
-Degrees where one side of the region is empty need no branch: their ranks
-are 0 and their leading divisor is 1.  ``bad_primes`` is the one source of
-bad primes; the all-degree set of the ``divisors=True`` scan
-(``--all-primes``) is its runtime check.  ``conjecture_scan`` reads the
+invariant factors of Z: p ones for Z's unimodular y-pivot block, then those
+of the small Schur complement S that ``degree_complement`` reads off the
+staircase; no region, label or dense Z is built or eliminated.
+``wlp_full_scan`` and ``bad_primes`` read every rank and leading divisor off
+those factors.  Degrees where one side of the region is empty need no
+branch: their ranks are 0 and their leading divisor is 1.  ``bad_primes`` is
+the one source of bad primes; the all-degree set of the ``divisors=True``
+scan (``--all-primes``) is its runtime check.  ``conjecture_scan`` reads the
 same factors: a prime lowers the rank of Z over GF(p) exactly when it
 divides the last one.
 
@@ -58,7 +59,7 @@ from .ideals import (
 )
 from .intlinalg import factorize, is_probable_prime, sparse_invariant_factors
 from .formulas import macmahon, type_one_odd_minor
-from .regions import Balance, check_region_size, degree_rows
+from .regions import Balance, check_region_size, degree_complement
 
 METHOD_FULL_SCAN = "full-scan"
 METHOD_PEAK = "peak-shortcut"
@@ -118,10 +119,10 @@ def _scan_range(ideal: MonomialIdeal) -> range:
 
 @functools.lru_cache(maxsize=4096)
 def _degree_factors(ideal: MonomialIdeal, d: int) -> tuple[int, int, tuple[int, ...]]:
-    """The numbers h(d-1) and h(d-2) of up and down triangles of the
-    degree-d region and the invariant factors of its matrix Z."""
-    n_up, rows = degree_rows(ideal, d)
-    return n_up, len(rows), sparse_invariant_factors(rows, n_up)
+    """h(d-1) and h(d-2), the up and down triangles of the degree-d region,
+    and the invariant factors Smith(Z) = 1^p (+) Smith(S) of its matrix Z."""
+    n_up, units, rows, cols = degree_complement(ideal, d)
+    return n_up, units + len(rows), (1,) * units + sparse_invariant_factors(rows, cols)
 
 
 _shape_factors = _degree_factors.__wrapped__  # a conjecture scan reduces each shape once

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -123,6 +124,7 @@ def test_count_and_region_answer_a_long_thin_strip():
         (["formula", "mac", "150", "150", "150"], "sys.get_int_max_str_digits()"),
         (["formula", "mac", "150", "150", "150", "--json"], "sys.get_int_max_str_digits()"),
         (["formula", "hyper", "3000"], "sys.get_int_max_str_digits()"),
+        (["formula", "hyper", "1000000000"], "sys.get_int_max_str_digits()"),
     ],
 )
 def test_oversized_inputs_are_refused_by_name(argv, limit, monkeypatch, tmp_path):
@@ -144,10 +146,22 @@ def test_a_value_just_below_the_print_limit_prints_exactly():
     assert len(str(hyperfactorial(80))) == 4037
 
 
+def test_formula_estimates_and_answers_large_arguments_at_once():
+    def lgamma_sum(n):
+        return math.fsum(map(math.lgamma, range(2, n + 1)))
+
+    for n in (0, 1, 2, 80, 1000):
+        assert cli._log_hyperfactorial(n) == lgamma_sum(n)
+    for n in (1001, 1500, 5000, 30000):
+        assert cli._log_hyperfactorial(n) == pytest.approx(lgamma_sum(n), rel=1e-14, abs=1e-6)
+    code, out, err = run_cli(["formula", "mac", "20000", "1", "1"])
+    assert (code, out, err) == (0, "Mac(20000,1,1) = 20001 = 3 * 59 * 113\n", "")
+
+
 def test_oversized_wlp_is_refused_before_any_reduction(monkeypatch):
     from lefschetz_lab import wlp
 
-    monkeypatch.setattr(wlp, "degree_rows", lambda ideal, d: pytest.fail(f"reduced degree {d}"))
+    monkeypatch.setattr(wlp, "degree_complement", lambda ideal, d: pytest.fail(f"reduced degree {d}"))
     code, out, err = run_cli(["wlp", "x^200,y^200,z^200"])
     assert (code, out) == (1, "")
     assert err == "error: the degree-174 region has 30276 triangles, above the limit MAX_REGION_TRIANGLES = 30000\n"
@@ -167,8 +181,8 @@ def test_oversized_wlp_is_refused_before_any_reduction(monkeypatch):
     ],
 )
 def test_wlp_ci_and_scan_build_no_region(monkeypatch, argv):
-    # their degrees are reduced from the rows ``degree_rows`` reads off the
-    # staircase: no region, no standard monomial list
+    # their degrees are reduced from the complement ``degree_complement``
+    # reads off the staircase: no region, no standard monomial list
     import lefschetz_lab
     from lefschetz_lab import ideals, regions, reports
 

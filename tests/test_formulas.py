@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,16 @@ def test_macmahon_values():
     assert macmahon(1, 1, 1) == 2
     assert macmahon(2, 2, 2) == 20
     assert macmahon(3, 3, 3) == 980
+
+
+def test_macmahon_is_the_hyperfactorial_quotient():
+    h = hyperfactorial
+    for a, b, c in itertools.product(range(13), repeat=3):
+        quotient = h(a) * h(b) * h(c) * h(a + b + c) // (h(a + b) * h(a + c) * h(b + c))
+        assert macmahon(a, b, c) == quotient, (a, b, c)
+    # one long side and a small value: the product runs over the shortest side
+    assert macmahon(20000, 1, 1) == macmahon(1, 1, 20000) == 20001
+    assert macmahon(2, 100000, 1) == math.comb(100002, 2)  # Mac(a, b, 1) = C(a + b, a)
 
 
 def test_plane_partition_oracle_values():

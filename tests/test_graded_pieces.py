@@ -1,7 +1,8 @@
 """Property tests: every graded piece read off ``standard_monomials`` and
 ``TriangularRegion.adjacency`` matches brute-force membership filtering, the
-rows ``degree_rows`` reads off the staircase are those of the built region
-and have the nonzero pattern of the multiplication map, and the Hilbert function counted off the staircase matches
+complement S that ``degree_complement`` reads off the staircase has the
+lattice path matrix's shape and gives the Smith form of the built region's
+Z, and the Hilbert function counted off the staircase matches
 ``standard_monomials`` at depth."""
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from lefschetz_lab import (
     standard_monomials,
 )
 from lefschetz_lab.ideals import hilbert_value
-from lefschetz_lab.regions import degree_rows
-from _oracles import multiplication_matrix
+from lefschetz_lab.intlinalg import lattice_points, smith_invariant_factors, sparse_invariant_factors
+from lefschetz_lab.regions import degree_complement
 
 VARS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 
@@ -93,16 +94,16 @@ artinian_ideals = st.builds(
 @example(ideal=parse_ideal("x^2,y^2,z^2"), d=6)  # neither
 @example(ideal=MonomialIdeal(()), d=2)  # the full triangle
 @example(ideal=parse_ideal("x^2*y^2"), d=12)  # slices with gaps
-def test_degree_rows_are_the_rows_of_the_built_region(ideal, d):
-    n_up, rows = degree_rows(ideal, d)
-    adjacency = build_region(ideal, d).adjacency
-    assert rows == [dict.fromkeys(js, 1) for js in adjacency]
-    assert [tuple(row) for row in rows] == list(adjacency)  # key order: x*n, y*n, z*n
-    assert (n_up, len(rows)) == (hilbert_value(ideal, d - 1), hilbert_value(ideal, d - 2))
-    # both sides above come from one row builder; polynomial arithmetic does not
-    m = multiplication_matrix(ideal, d)
-    assert (m.rows, m.cols) == (n_up, len(rows))
-    assert [sorted(row) for row in rows] == [[j for j in range(m.rows) if m.entries[j][i]] for i in range(m.cols)]
+def test_degree_complement_has_the_smith_form_of_the_built_region(ideal, d):
+    n_up, units, rows, cols = degree_complement(ideal, d)
+    region = build_region(ideal, d)
+    assert (n_up, units + len(rows)) == (len(region.up), len(region.down))
+    # S is #E x #A, the shape of the lattice path matrix's points
+    points = lattice_points(region)
+    assert (len(rows), cols) == (len(points.e_points), len(points.a_points))
+    assert all(0 <= j < cols for row in rows for j in row)
+    factors = (1,) * units + sparse_invariant_factors(rows, cols)
+    assert factors == smith_invariant_factors(biadjacency(region))
 
 
 @st.composite

@@ -21,13 +21,14 @@ from lefschetz_lab import (
     parse_ideal,
     peak_shortcut,
     socle_profile,
+    standard_monomials,
     type2_char0_verdict,
     type2_condition_range,
     type2_poschar_bound,
     type_one_verdict,
     wlp_full_scan,
 )
-from lefschetz_lab.ideals import ALL_PERMUTATIONS
+from lefschetz_lab.ideals import ALL_PERMUTATIONS, Y
 from lefschetz_lab.intlinalg import biadjacency, smith_invariant_factors
 from lefschetz_lab.wlp import (
     _degree_factors,
@@ -86,21 +87,28 @@ def test_full_scan_divisors_pin_bad_primes():
 
 def _count_region_reductions(monkeypatch) -> list:
     """Record the degree of each of ``wlp``'s per-degree reductions, which
-    read their rows off ``degree_rows``; make every dense region matrix,
-    every ``IntMatrix`` and every other rank or divisor kernel raise on the
-    way."""
+    read S off ``degree_complement``; make every dense region matrix, every
+    ``IntMatrix`` and every other rank or divisor kernel raise on the way,
+    and check that the Smith kernel is never handed more than the #E rows
+    of S."""
     from lefschetz_lab import intlinalg, regions, wlp
 
-    calls = []
+    calls, e_rows = [], []
 
     def counted(ideal, d):
         calls.append(d)
-        return regions.degree_rows(ideal, d)
+        e_rows.append(sum(Y * n in ideal for n in standard_monomials(ideal, d - 2)))
+        return regions.degree_complement(ideal, d)
+
+    def kernel(rows, cols):
+        assert len(rows) <= e_rows[-1], "the Smith kernel was handed more rows than S has"
+        return intlinalg.sparse_invariant_factors(rows, cols)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the scan built a dense matrix or ran a second kernel")
 
-    monkeypatch.setattr(wlp, "degree_rows", counted)
+    monkeypatch.setattr(wlp, "degree_complement", counted)
+    monkeypatch.setattr(wlp, "sparse_invariant_factors", kernel)
     for module in (wlp, intlinalg):
         for name in ("biadjacency", "smith_invariant_factors", "bareiss", "rank_q", "rank_mod_p", "determinantal_divisor"):
             if hasattr(module, name):
