@@ -4,6 +4,9 @@ Exit codes: 0 on success, 1 on a domain error (not Artinian, wrong type,
 inadmissible parameters), 2 on a usage or ideal-syntax error.  Every
 subcommand takes ``--json`` for machine-readable output under the
 ``lefschetz-lab/1`` schema.
+
+``main`` reads a plain command line straight off the argument table
+``COMMANDS``; argparse answers help, abbreviations and usage errors.
 """
 
 from __future__ import annotations
@@ -381,62 +384,36 @@ def _cmd_formula(args) -> int:
     return 0
 
 
-def _hilbert_args(p) -> None:
-    p.add_argument("ideal")
-    p.add_argument("--max-degree", type=int, default=None)
+_IDEAL = ("ideal", {})
+_INT = {"type": int}
+_DEGREE = ("--d", {"type": int, "default": None, "help": "degree (default: first decisive degree)"})
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON instead of text"})
+_ALL_PRIMES_HELP = "compute leading divisors at every degree (exact bad primes from scan data)"
 
-
-def _region_args(p) -> None:
-    p.add_argument("ideal")
-    p.add_argument("--d", type=int, default=None, help="degree (default: first decisive degree)")
-    p.add_argument("--svg", metavar="PATH", default=None)
-    p.add_argument("--ascii", action="store_true")
-
-
-def _count_args(p) -> None:
-    p.add_argument("ideal")
-    p.add_argument("--d", type=int, default=None, help="degree (default: first decisive degree)")
-    p.add_argument("--svg", metavar="PATH", default=None, help="render the first tiling")
-
-
-def _wlp_args(p) -> None:
-    p.add_argument("ideal")
-    p.add_argument("--primes", type=_prime_list, default=(), help="comma-separated primes to scan")
-    all_help = "compute leading divisors at every degree (exact bad primes from scan data)"
-    p.add_argument("--all-primes", action="store_true", help=all_help)
-
-
-def _ci_args(p) -> None:
-    for name in "abc":
-        p.add_argument(name, type=int)
-    p.add_argument("--char", type=int, default=None, help="also report one characteristic")
-
-
-def _scan_args(p) -> None:
-    p.add_argument("--max-exponent", type=_scan_cap, default=4)
-    p.add_argument("--prime-cap", type=_scan_cap, default=13)
-
-
-def _formula_args(p) -> None:
-    fsub = p.add_subparsers(dest="formula", required=True)
-    params = {"mac": "a b c", "hyper": "n", "splitdet": "p q r m n", "twomahonian": "a b c alpha beta d"}
-    for formula, names in params.items():
-        f = fsub.add_parser(formula)
-        for name in names.split():
-            f.add_argument(name, type=int)
-        f.add_argument("--json", action="store_true")
-
-
-#: Every subcommand: name -> (handler, help text, function adding its arguments).
+#: Every subcommand: name -> (handler, help text, its arguments after --json,
+#: each a name and the keyword arguments ``add_argument`` takes).
 COMMANDS = {
-    "hilbert": (_cmd_hilbert, "Hilbert function and socle data", _hilbert_args),
-    "region": (_cmd_region, "triangular region statistics and punctures", _region_args),
-    "count": (_cmd_count, "tiling count and signed enumerations", _count_args),
-    "wlp": (_cmd_wlp, "weak Lefschetz verdicts and bad primes", _wlp_args),
-    "ci": (_cmd_ci, "complete-intersection classification", _ci_args),
-    "type2": (_cmd_type2, "type-2 normal form, verdict, and bounds", lambda p: p.add_argument("ideal")),
-    "scan": (_cmd_scan, "search for conjecture counterexamples", _scan_args),
-    "formula": (_cmd_formula, "evaluate a closed-form enumeration", _formula_args),
+    "hilbert": (_cmd_hilbert, "Hilbert function and socle data", (_IDEAL, ("--max-degree", {"type": int, "default": None}))),
+    "region": (_cmd_region, "triangular region statistics and punctures", (
+        _IDEAL, _DEGREE, ("--svg", {"metavar": "PATH", "default": None}), ("--ascii", {"action": "store_true"}))),
+    "count": (_cmd_count, "tiling count and signed enumerations", (
+        _IDEAL, _DEGREE, ("--svg", {"metavar": "PATH", "default": None, "help": "render the first tiling"}))),
+    "wlp": (_cmd_wlp, "weak Lefschetz verdicts and bad primes", (
+        _IDEAL,
+        ("--primes", {"type": _prime_list, "default": (), "help": "comma-separated primes to scan"}),
+        ("--all-primes", {"action": "store_true", "help": _ALL_PRIMES_HELP}))),
+    "ci": (_cmd_ci, "complete-intersection classification", (
+        ("a", _INT), ("b", _INT), ("c", _INT), ("--char", {"type": int, "default": None, "help": "also report one characteristic"}))),
+    "type2": (_cmd_type2, "type-2 normal form, verdict, and bounds", (_IDEAL,)),
+    "scan": (_cmd_scan, "search for conjecture counterexamples", (
+        ("--max-exponent", {"type": _scan_cap, "default": 4}), ("--prime-cap", {"type": _scan_cap, "default": 13}))),
+    "formula": (_cmd_formula, "evaluate a closed-form enumeration", ()),
+}
+
+#: ``formula``'s own subcommands: formula -> its arguments before --json.
+FORMULAS = {
+    formula: tuple((name, _INT) for name in names.split())
+    for formula, names in {"mac": "a b c", "hyper": "n", "splitdet": "p q r m n", "twomahonian": "a b c alpha beta d"}.items()
 }
 
 
@@ -456,22 +433,75 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in [command] if command else COMMANDS:
-        func, help_text, add_arguments = COMMANDS[name]
+        func, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        add_arguments(p)
+        for flag, kwargs in (_JSON, *arguments):
+            p.add_argument(flag, **kwargs)
+        if name == "formula":
+            fsub = p.add_subparsers(dest="formula", required=True)
+            for formula, positionals in FORMULAS.items():
+                f = fsub.add_parser(formula)
+                for flag, kwargs in positionals:
+                    f.add_argument(flag, **kwargs)
+                # SUPPRESS keeps an unset inner flag from overwriting a --json before the formula's name
+                f.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one command line; each call builds the parser of its subcommand only."""
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser`` parses from a plain command line: a
+    command (``formula`` with a formula's name next), options in full, each a
+    flag or followed by one value, and exactly the command's positionals, no
+    value starting with "-".  None for anything else (help, abbreviations,
+    ``--opt=value``, ``--``, usage and conversion errors)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    args, tokens = argparse.Namespace(command=argv[0], func=func), argv[1:]
+    if argv[0] == "formula":
+        if not tokens or tokens[0] not in FORMULAS:
+            return None
+        args.formula, tokens, arguments = tokens[0], tokens[1:], FORMULAS[tokens[0]]
+    options = {flag: kwargs for flag, kwargs in (_JSON, *arguments) if flag.startswith("-")}
+    names = [(name, kwargs) for name, kwargs in arguments if name not in options]
+    given, values, tokens = {}, [], iter(tokens)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        for token in tokens:
+            kwargs = options.get(token)
+            if kwargs is None and token.startswith("-"):
+                return None
+            if kwargs is None:
+                values.append(token)
+            elif kwargs.get("action") == "store_true":
+                given[token] = True
+            elif (value := next(tokens, "-")).startswith("-"):
+                return None
+            else:
+                given[token] = kwargs.get("type", str)(value)
+        if len(values) != len(names):
+            return None
+        for (name, kwargs), value in zip(names, values):
+            setattr(args, name, kwargs.get("type", str)(value))
+    except (ValueError, argparse.ArgumentTypeError):
+        return None
+    for flag, kwargs in options.items():
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line.  A plain one is read straight off ``COMMANDS``;
+    for anything else argparse answers, with the parser of the named
+    subcommand only."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ParseError as exc:

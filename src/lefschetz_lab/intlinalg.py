@@ -231,8 +231,15 @@ def rank_q(matrix: IntMatrix) -> int:
     return len(smith_invariant_factors(matrix))
 
 
+#: psi_13, the least strong pseudoprime to each of the first 13 prime bases.
+MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for anything below 3.3 * 10^24."""
+    """Miller-Rabin to the 13 prime bases up to 41, exact below
+    ``MILLER_RABIN_EXACT_BELOW``; from there on also the strong Lucas test,
+    which with the base-2 test makes BPSW (Baillie-Wagstaff 1980), with no
+    known counterexample."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
@@ -253,7 +260,58 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < MILLER_RABIN_EXACT_BELOW or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1-D)/4.  With n+1 = d 2^s, n passes iff U_d = 0 or V_{d 2^r} = 0
+    mod n for some r < s."""
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # 1 < gcd(D, n) < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(v: int) -> int:
+        v %= n
+        return (v + n if v % 2 else v) // 2
+
+    U, V, Qk = 0, 2, 1  # U_k, V_k, Q^k at k = 0, then k runs through d's leading bits
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def rank_mod_p(matrix: IntMatrix, p: int) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz_lab import build_region, cli, enumerate_tilings, hyperfactorial, macmahon, parse_ideal, tilings
 from lefschetz_lab.cli import COMMANDS, main
@@ -257,7 +260,7 @@ def test_runs_without_numpy():
     assert proc.stdout == run_cli(argv)[1]
 
 
-# -- one parser per call -------------------------------------------------------
+# -- plain command lines and the parser of one command ---------------------------
 
 PARSER_CASES = [
     *([name, "-h"] for name in COMMANDS),
@@ -278,14 +281,32 @@ PARSER_CASES = [
     ["formula", "mac", "-h"],
     ["formula", "nope"],
     ["formula", "mac", "1", "2", "3", "--json"],
+    ["formula", "--json", "mac", "1", "2", "3"],
     ["ci", "2", "2", "2"],
+    ["ci", "3", "4", "5", "--char", "3317044064679887385961981"],
     ["count", "x^2,y^2,z^2"],
+    ["region", "x^2,y^2,z^2", "--ascii", "--d", "3"],
+    ["wlp", "x^4,y^4,z^4,x^2*z^2", "--all-primes", "--primes", "2,3", "--json"],
+    ["scan", "--prime-cap", "7", "--max-exponent", "2"],
+    ["hilbert", "x^3,y^3,z^3", "--max-degree=4"],
+    ["ci", "--char", "-3", "2", "2", "2"],
     [],
     ["-h"],
     ["foo"],
     ["c", "1", "2", "3"],
     ["--json", "ci", "1", "2", "3"],
     ["ci", "--json", "ci"],
+]
+
+#: The PARSER_CASES that ``cli._plain_args`` reads without argparse.
+PLAIN_CASES = [
+    ["formula", "mac", "1", "2", "3", "--json"],
+    ["ci", "2", "2", "2"],
+    ["ci", "3", "4", "5", "--char", "3317044064679887385961981"],
+    ["count", "x^2,y^2,z^2"],
+    ["region", "x^2,y^2,z^2", "--ascii", "--d", "3"],
+    ["wlp", "x^4,y^4,z^4,x^2*z^2", "--all-primes", "--primes", "2,3", "--json"],
+    ["scan", "--prime-cap", "7", "--max-exponent", "2"],
 ]
 
 
@@ -301,8 +322,9 @@ def test_one_command_parser_answers_as_the_full_parser(monkeypatch, argv):
     monkeypatch.setattr(cli, "build_parser", spy)
     fast = run_cli(argv)
     monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
     assert fast == run_cli(argv)
-    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+    assert built == ([] if argv in PLAIN_CASES else [argv[0] if argv and argv[0] in COMMANDS else None])
 
 
 def test_a_call_registers_only_its_subcommand(monkeypatch):
@@ -315,10 +337,104 @@ def test_a_call_registers_only_its_subcommand(monkeypatch):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
     assert run_cli(["ci", "6", "7", "8", "--json"])[0] == 0
+    assert added == []
+    assert run_cli(["ci", "6", "7", "8", "--js"])[0] == 0
     assert added == ["ci"]
     added.clear()
     cli.build_parser()
     assert added == [*COMMANDS, "mac", "hyper", "splitdet", "twomahonian"]
+
+
+def test_formula_json_reads_the_same_before_or_after_the_formula_name():
+    after = run_cli(["formula", "mac", "1", "2", "3", "--json"])
+    assert json.loads(after[1])["value"] == 10
+    assert run_cli(["formula", "--json", "mac", "1", "2", "3"]) == after
+    assert run_cli(["formula", "--json", "mac", "--json", "1", "2", "3"]) == after
+    assert run_cli(["formula", "mac", "1", "2", "3"])[1] == "Mac(1,2,3) = 10 = 2 * 5\n"
+
+
+def test_a_composite_characteristic_is_refused():
+    psi_13 = "3317044064679887385961981"  # 1,287,836,182,261 * 2,575,672,364,521
+    code, out, err = run_cli(["wlp", "x^2,y^2,z^2", "--primes", psi_13])
+    assert (code, out) == (2, "") and f"{psi_13} is not prime" in err
+    code, out, err = run_cli(["ci", "3", "4", "5", "--char", psi_13])
+    assert (code, out) == (1, "") and "characteristic must be 0 or prime" in err
+
+
+_OPTIONS = sorted({flag for _, _, arguments in COMMANDS.values() for flag, _ in arguments if flag.startswith("-")} | {"--json"})
+_VALUES = ["3", "-3", "x", "2,3", "x^2,y^2,z^2", ""]
+_TOKENS = [
+    *COMMANDS,
+    *cli.FORMULAS,
+    *(flag[:n] for flag in _OPTIONS for n in range(3, len(flag) + 1)),
+    *(f"{flag}={value}" for flag in _OPTIONS for value in _VALUES),
+    "-h",
+    "--",
+    *_VALUES,
+]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line that is mostly plain: a command, its positionals and
+    some of its options, each option with a value unless it is a flag, in a
+    drawn order; then up to two tokens of _TOKENS spliced in, and maybe one dropped."""
+    command = draw(st.sampled_from([*COMMANDS, "foo"]))
+    head, arguments = [command], COMMANDS[command][2] if command in COMMANDS else ()
+    if command == "formula":
+        formula = draw(st.sampled_from([*cli.FORMULAS, "nope"]))
+        head, arguments = [command, formula], cli.FORMULAS.get(formula, ())
+    value = st.one_of(st.just("3"), st.sampled_from(_VALUES))  # "3" converts for every argument
+    groups = [[draw(value)] for flag, _ in arguments if not flag.startswith("-")]
+    for flag, kwargs in (("--json", {"action": "store_true"}), *arguments):
+        if flag.startswith("-") and draw(st.booleans()):
+            groups.append([flag] if kwargs.get("action") == "store_true" else [flag, draw(value)])
+    tokens = [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_TOKENS)))
+    if tokens and draw(st.integers(0, 3)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return head + tokens
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_plain_reader_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli.build_parser(argv[0] if argv[0] in COMMANDS else None).parse_args(argv)
+        except SystemExit:
+            parsed = None
+    if plain is not None:
+        assert parsed == plain
+    if parsed is None:
+        assert plain is None
+
+
+def _benchmark_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", README.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_readme_and_benchmark_command_lines_build_no_parser(monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    workloads = _benchmark_workloads(monkeypatch).values()
+    argvs = [argv for argv, _ in readme_console_blocks()]
+    argvs += [list(w.warmup) for w in workloads] + [list(w.pool(0)[0].argv) for w in workloads]
+    for argv in argvs:
+        assert run_cli(argv)[0] == 0, argv
+        assert built == [], argv
 
 
 def test_repeated_primes_are_scanned_and_reported_once():

@@ -22,6 +22,7 @@ from lefschetz_lab import (
     rank_q,
     smith_invariant_factors,
 )
+from lefschetz_lab.intlinalg import MILLER_RABIN_EXACT_BELOW, _strong_lucas, is_probable_prime
 from _oracles import (
     all_minors_divisor,
     cofactor_determinant,
@@ -255,3 +256,25 @@ def test_a_and_e_vertex_count_difference_is_balance():
         region = build_region(parse_ideal(text), d)
         pts = lattice_points(region)
         assert len(pts.a_points) - len(pts.e_points) == len(region.up) - len(region.down)
+
+
+PSI_13 = 3_317_044_064_679_887_385_961_981  # 1,287,836,182,261 * 2,575,672,364,521
+
+
+def test_probable_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(1, 10**5) if is_probable_prime(n) != (factorize(n) == {n: 1})] == []
+
+
+def test_probable_prime_rejects_strong_pseudoprimes_to_the_first_13_bases():
+    assert 1_287_836_182_261 * 2_575_672_364_521 == PSI_13 == MILLER_RABIN_EXACT_BELOW
+    assert not is_probable_prime(PSI_13)
+    assert not is_probable_prime(1_000_000_000_039 * 1_000_000_000_061)  # two 13-digit primes
+    assert is_probable_prime(2**89 - 1) and is_probable_prime(2**127 - 1)
+    assert not is_probable_prime(2**89 + 1) and not is_probable_prime((2**89 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_are_the_known_ones():
+    # OEIS A217255: the odd composites that pass the strong Lucas test with Selfridge's parameters
+    passing = [n for n in range(43, 60000, 2) if _strong_lucas(n) and factorize(n) != {n: 1}]
+    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+    assert all(_strong_lucas(p) for p in range(43, 60000, 2) if factorize(p) == {p: 1})
