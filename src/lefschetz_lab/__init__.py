@@ -21,8 +21,6 @@ from .ideals import (
     MonomialIdeal,
     Permutation,
     SocleProfile,
-    annihilator_of_two_monomials,
-    ci_peak_profile,
     hilbert_function,
     monomials_of_degree,
     parse_ideal,

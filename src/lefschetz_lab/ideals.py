@@ -4,10 +4,12 @@ An ideal's graded pieces are read off its staircase, the height function
 H(i, k) = min{g.ez : g.ex <= i, g.ey <= k} over the generators g (infinite
 where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
 ``hilbert_function`` counts every degree off that table in one pass and
-``socle_profile`` reads the socle off its corners.  One walk over a degree's
-runs, ``_degree_runs``, serves ``hilbert_value``, ``standard_monomials`` (for
-the triangular regions) and ``regions.degree_complement`` (the Schur
-complement the WLP scan reduces); none of them tests a monomial against the generators.
+``socle_profile`` reads the socle off its corners.  One walk over the slices,
+``_slices``, hands out each slice's band of runs: ``_degree_runs`` turns it
+into the ranges of a degree for ``hilbert_value`` and ``standard_monomials``
+(the triangular regions), and ``regions.degree_complement`` (the Schur
+complement the WLP scan reduces) reads two degrees off it by run arithmetic;
+none of them tests a monomial against the generators.
 ``MonomialIdeal.__contains__`` remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are
@@ -357,15 +359,21 @@ def _staircase(ideal: MonomialIdeal) -> _Staircase:
     )
 
 
+def _slices(ideal: MonomialIdeal, j: int) -> list[tuple[int, tuple[tuple[int, float, float], ...]]]:
+    """The one walk over the slices z^e that can hold a monomial of degree at
+    most j outside I: each e from the top down, with the staircase band."""
+    stair = _staircase(ideal)
+    bands, levels = stair.bands, stair.levels
+    return [(ez, bands[bisect_right(levels, ez)]) for ez in range(min(j, stair.top - 1), -1, -1)]
+
+
 def _degree_runs(ideal: MonomialIdeal, j: int) -> Iterator[tuple[int, list[range]]]:
     """The degree-j monomials x^i y^(j-e-i) z^e outside I in ascending revlex
     order: each e from the top down, with the ascending ranges of their i,
     one per staircase run and possibly empty."""
-    stair = _staircase(ideal)
-    bands, levels = stair.bands, stair.levels
-    for ez in range(min(j, stair.top - 1), -1, -1):
+    for ez, band in _slices(ideal, j):
         s = j - ez
-        yield ez, [range(max(lo, s - width + 1), min(hi, s + 1)) for lo, hi, width in bands[bisect_right(levels, ez)]]
+        yield ez, [range(max(lo, s - width + 1), min(hi, s + 1)) for lo, hi, width in band]
 
 
 def standard_monomials(ideal: MonomialIdeal, j: int) -> tuple[Monomial, ...]:
@@ -455,53 +463,3 @@ def socle_profile(ideal: MonomialIdeal) -> SocleProfile:
         is_level=len(set(degrees)) <= 1,
     )
 
-
-def annihilator_of_two_monomials(m1: Monomial, m2: Monomial) -> MonomialIdeal:
-    """The ideal of all polynomials whose contraction kills both monomials.
-
-    Computed as the intersection of the two irreducible ideals
-    (x^(a+1), y^(b+1), z^(c+1)) attached to m1 and m2, via pairwise lcms plus
-    minimalization.  The quotient by the result has type exactly 2, with m1
-    and m2 as its socle monomials.
-    """
-    if m1.divides(m2) or m2.divides(m1):
-        raise ValueError("the two monomials must be incomparable under divisibility")
-    corners1 = (Monomial(m1.ex + 1, 0, 0), Monomial(0, m1.ey + 1, 0), Monomial(0, 0, m1.ez + 1))
-    corners2 = (Monomial(m2.ex + 1, 0, 0), Monomial(0, m2.ey + 1, 0), Monomial(0, 0, m2.ez + 1))
-    return MonomialIdeal(tuple(g.lcm(h) for g in corners1 for h in corners2))
-
-
-@dataclass(frozen=True)
-class CiPeakProfile:
-    """Integer degree ranges where the Hilbert function of R/(x^a,y^b,z^c)
-    strictly rises, stays flat, and strictly falls.
-
-    Each range collects the degrees j compared through h(j-2) vs h(j-1); the
-    three ranges partition 1 .. a+b+c-1.
-    """
-
-    increasing: range
-    flat: range
-    decreasing: range
-
-
-def ci_peak_profile(a: int, b: int, c: int) -> CiPeakProfile:
-    """Shape of the complete-intersection Hilbert function, in closed form.
-
-    h(j-2) < h(j-1) iff j < min{a+b, a+c, b+c, (a+b+c)/2}; equality holds up
-    to max{a, b, c, (a+b+c)/2}; beyond that the function strictly falls until
-    degree a+b+c-1.  Bounds are handled exactly by doubling, so half-integer
-    thresholds never touch floating point.
-    """
-    if min(a, b, c) < 1:
-        raise ValueError("exponents must be positive")
-    lo2 = min(2 * (a + b), 2 * (a + c), 2 * (b + c), a + b + c)
-    hi2 = max(2 * a, 2 * b, 2 * c, a + b + c)
-    inc_end = (lo2 - 1) // 2  # largest j with 2j < lo2
-    flat_start = (lo2 + 1) // 2  # smallest j with 2j >= lo2
-    flat_end = hi2 // 2
-    return CiPeakProfile(
-        increasing=range(1, inc_end + 1),
-        flat=range(flat_start, flat_end + 1),
-        decreasing=range(flat_end + 1, a + b + c),
-    )

@@ -8,9 +8,10 @@ x*n, y*n, z*n.  This module owns the region and the rows of its matrix Z:
 ``region_determinant`` and the Kasteleyn signing hand them to the kernels
 of ``intlinalg``.  For the WLP scan, ``degree_complement`` reads off the
 staircase only the small Schur complement S of Z's unit triangular y-pivot
-block, which carries Z's Smith form.  Matchings and tilings live in
-``tilings``.  Everything here is label arithmetic on exponents; no
-floating-point geometry exists outside the SVG emitter.
+block, which carries Z's Smith form, in one packed path-count sweep.
+Matchings and tilings live in ``tilings``.  Everything here is label
+arithmetic on exponents; no floating-point geometry exists outside the SVG
+emitter.
 
 Each minimal generator g of degree at most d-1 cuts an upward-pointing
 triangular puncture of side d - deg(g) out of the full region.  Two punctures
@@ -26,17 +27,17 @@ import collections
 import functools
 import itertools
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, NotArtinianError
 from .ideals import (
     Monomial,
     MonomialIdeal,
     Y,
-    _degree_runs,
+    _slices,
+    hilbert_function,
     hilbert_value,
     monomials_of_degree,
     standard_monomials,
@@ -162,30 +163,71 @@ def degree_complement(ideal: MonomialIdeal, d: int) -> tuple[int, int, list[dict
     less the A-ups x^(d-1-e) z^e, the columns of S; its rows are the E-downs
     r, y*r missing.  Clearing the pivot columns carries -v at y*n to x*n and
     z*n, so S[r][a] is (-1)^ey(r) times the number of +x/+z paths from y*r
-    to a through present ups, counted slice by slice.
+    to a through present ups.
+
+    Run arithmetic: with s = d-1-e, a run (lo, hi, w) of the slice z^e holds
+    the ups lo <= i < hi with s-w < i <= s and the downs with s-w <= i < s,
+    so it has the A-up i = s iff lo <= s < hi and an E-down, i = s-w, iff
+    lo <= s-w < hi; runs ascend in lo, so a slice ends at lo > s.  The
+    E-downs must number h(d-2) - p, h off the cached ``hilbert_function``.
+
+    Packed sweep: going up the slices, each present up is the sum of the
+    cells below and left of it, and E-down k owns the bits [kW, (k+1)W),
+    W = d, of every cell, seeded with 1 << kW at y*r = x^i y^ey z^e.  A path
+    from there to an up makes d-1-i-e <= d-1 steps, so for d > 1 each field
+    counts at most 2^(d-1) - 1 paths and no sum carries into the next field.
+    Fields go to the bottom slices first, so the values grow as the sweep
+    rises; an A-up's value is read field by field, skipping zero fields.
     """
     check_region_size(ideal, d)
-    up = {ez: [i for run in runs for i in run] for ez, runs in _degree_runs(ideal, d - 1)}
-    a_cols = {ez: a for a, ez in enumerate(ez for ez, xs in up.items() if xs and xs[-1] == d - 1 - ez)}
-    n_up = sum(map(len, up.values()))
-    units = n_up - len(a_cols)
-    down = list(_degree_runs(ideal, d - 2))
-    n_e = sum(len(run) for _, runs in down for run in runs) - units
-    rows = []
-    for e0, runs in down if n_e and a_cols else ():
-        for i0 in set(itertools.chain.from_iterable(runs)).difference(up.get(e0, ())):  # y*r missing
-            # cur: signed path counts on up slice z^ez, seeded at y*r; prev: slice z^(ez-1)
-            row, prev, cur, ez = {}, {}, {i0: -1 if (d - i0 - e0) % 2 else 1}, e0
-            while prev or cur:
-                xs = up.get(ez, ())
-                for i in xs[bisect_left(xs, next(iter(cur or prev))):]:
-                    if v := prev.get(i, 0) + cur.get(i - 1, 0):
-                        cur[i] = v
-                if d - 1 - ez in cur:
-                    row[a_cols[ez]] = cur[d - 1 - ez]
-                prev, cur, ez = cur, {}, ez + 1
-            rows.append(row)
-    return n_up, units, rows or [{} for _ in range(n_e)], len(a_cols)
+    if not ideal.is_proper:  # R/I = 0: no triangle, and no Hilbert function
+        return 0, 0, [], 0
+    try:  # cached per ideal, and counted by second differences, not off the walk below
+        h = hilbert_function(ideal)
+    except NotArtinianError:
+        h = hilbert_function(ideal, d)
+    slices = _slices(ideal, d - 1)  # from the top slice down
+    a_cols: dict[int, int] = {}  # slice z^e -> the column of its A-up
+    sources = []  # E-downs (e, i, ey), top down
+    for ez, band in slices:
+        s = d - 1 - ez
+        for lo, hi, w in band:
+            if lo > s:
+                break
+            if lo <= s - w < hi:
+                sources.append((ez, s - w, w - 1))
+            if s < hi:
+                a_cols[ez] = len(a_cols)
+    units = h[d - 1] - len(a_cols)
+    if len(sources) != h[d - 2] - units:
+        raise InternalCheckError(f"degree {d}: {len(sources)} E-downs, but h(d-2) - p = {h[d - 2] - units}")
+    rows: list[dict[int, int]] = [{} for _ in sources]  # bottom up: row f is field f
+    if sources and a_cols:
+        mask, signs, live, j = (1 << d) - 1, [], d, len(sources) - 1
+        cur = [0] * (d + 1)  # one up slice's cell values; cur[d] stays 0 for cur[i - 1] at i = 0
+        for ez in range(sources[-1][0], next(iter(a_cols)) + 1):
+            s = d - 1 - ez
+            prev, cur = cur, [0] * (d + 1)
+            while j >= 0 and sources[j][0] == ez:
+                _, i0, ey = sources[j]
+                cur[i0] = 1 << len(signs) * d
+                signs.append(-1 if ey % 2 else 1)
+                live, j = min(live, i0), j - 1
+            for lo, hi, w in slices[slices[0][0] - ez][1]:
+                if lo > s:
+                    break
+                for i in range(max(lo, s - w + 1, live), min(hi, s + 1)):
+                    cur[i] = prev[i] + cur[i - 1]
+            if (a := a_cols.get(ez)) is not None:
+                v, f = cur[s], 0
+                while v:
+                    skip = ((v & -v).bit_length() - 1) // d  # fields that read 0
+                    v >>= skip * d
+                    f += skip
+                    rows[f][a] = signs[f] * (v & mask)
+                    v >>= d
+                    f += 1
+    return h[d - 1], units, rows[::-1], len(a_cols)
 
 
 def region_determinant(region: TriangularRegion) -> int:

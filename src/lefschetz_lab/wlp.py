@@ -19,7 +19,8 @@ numbers of up and down triangles of the degree-d region, whose minimum is
 the rank of its bi-adjacency matrix Z that maximal rank requires, and the
 invariant factors of Z: p ones for Z's unimodular y-pivot block, then those
 of the small Schur complement S that ``degree_complement`` reads off the
-staircase; no region, label or dense Z is built or eliminated.
+staircase's run ends in one sweep whose cell values pack every row's path
+count; no region, label or dense Z is built or eliminated.
 ``wlp_full_scan`` and ``bad_primes`` read every rank and leading divisor off
 those factors.  Degrees where one side of the region is empty need no
 branch: their ranks are 0 and their leading divisor is 1.  ``bad_primes`` is

@@ -6,8 +6,9 @@ permutation sums instead of matching counts, all-minors gcds instead of
 Smith reduction, row reduction over fractions and mod p instead of counting
 Smith invariant factors, polynomial multiplication instead of triangle
 adjacency, a row-by-row plane partition count instead of the box
-formula, and a flood fill over the missing triangles instead of counting
-the cells of the region.
+formula, a flood fill over the missing triangles instead of counting
+the cells of the region, and one path DP per E-row over the listed ups
+instead of one packed sweep over the staircase runs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from lefschetz_lab import (
@@ -25,7 +27,7 @@ from lefschetz_lab import (
     TriangularRegion,
     monomials_of_degree,
 )
-from lefschetz_lab.ideals import VARIABLES
+from lefschetz_lab.ideals import VARIABLES, _degree_runs
 
 
 def cofactor_determinant(matrix: IntMatrix) -> int:
@@ -162,6 +164,33 @@ def plane_partition_oracle(a: int, b: int, c: int) -> int:
         return sum(count(rows_left - 1, row) for row in rows_below(bound))
 
     return count(a, (c,) * b)
+
+
+def path_count_complement(ideal: MonomialIdeal, d: int) -> tuple[int, int, list[dict[int, int]], int]:
+    """``regions.degree_complement`` one E-row at a time: the ups of each
+    slice listed off ``_degree_runs``, and for each E-down r a DP over the
+    slices from y*r upward that counts the +x/+z paths to every A-up."""
+    up = {ez: [i for run in runs for i in run] for ez, runs in _degree_runs(ideal, d - 1)}
+    a_cols = {ez: a for a, ez in enumerate(ez for ez, xs in up.items() if xs and xs[-1] == d - 1 - ez)}
+    n_up = sum(map(len, up.values()))
+    units = n_up - len(a_cols)
+    down = list(_degree_runs(ideal, d - 2))
+    n_e = sum(len(run) for _, runs in down for run in runs) - units
+    rows = []
+    for e0, runs in down if n_e and a_cols else ():
+        for i0 in sorted(set(itertools.chain.from_iterable(runs)).difference(up.get(e0, ()))):  # y*r missing
+            # cur: signed path counts on up slice z^ez, seeded at y*r; prev: slice z^(ez-1)
+            row, prev, cur, ez = {}, {}, {i0: -1 if (d - i0 - e0) % 2 else 1}, e0
+            while prev or cur:
+                xs = up.get(ez, ())
+                for i in xs[bisect_left(xs, next(iter(cur or prev))):]:
+                    if v := prev.get(i, 0) + cur.get(i - 1, 0):
+                        cur[i] = v
+                if d - 1 - ez in cur:
+                    row[a_cols[ez]] = cur[d - 1 - ez]
+                prev, cur, ez = cur, {}, ez + 1
+            rows.append(row)
+    return n_up, units, rows or [{} for _ in range(n_e)], len(a_cols)
 
 
 def random_artinian_ideal(rng: random.Random, max_power: int, extra: int = 3) -> MonomialIdeal:

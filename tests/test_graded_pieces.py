@@ -1,17 +1,21 @@
 """Property tests: every graded piece read off ``standard_monomials`` and
 ``TriangularRegion.adjacency`` matches brute-force membership filtering, the
 complement S that ``degree_complement`` reads off the staircase has the
-lattice path matrix's shape and gives the Smith form of the built region's
-Z, and the Hilbert function counted off the staircase matches
+lattice path matrix's shape, gives the Smith form of the built region's Z
+and equals the per-row path counts of ``_oracles.path_count_complement``,
+and the Hilbert function counted off the staircase matches
 ``standard_monomials`` at depth."""
 
 from __future__ import annotations
+
+import collections
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefschetz_lab import (
+    InternalCheckError,
     Monomial,
     MonomialIdeal,
     HilbertFunction,
@@ -31,6 +35,8 @@ from lefschetz_lab import (
 from lefschetz_lab.ideals import hilbert_value
 from lefschetz_lab.intlinalg import lattice_points, smith_invariant_factors, sparse_invariant_factors
 from lefschetz_lab.regions import degree_complement
+
+from _oracles import path_count_complement, random_artinian_ideal
 
 VARS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 
@@ -104,6 +110,56 @@ def test_degree_complement_has_the_smith_form_of_the_built_region(ideal, d):
     assert all(0 <= j < cols for row in rows for j in row)
     factors = (1,) * units + sparse_invariant_factors(rows, cols)
     assert factors == smith_invariant_factors(biadjacency(region))
+
+
+@st.composite
+def artinian_degrees(draw):
+    """An ideal of ``random_artinian_ideal(rng, 12, 5)`` and one of the
+    degrees the WLP scan reduces."""
+    rng = draw(st.randoms(use_true_random=False))
+    ideal = random_artinian_ideal(rng, 12, 5)
+    return ideal, rng.randint(1, socle_profile(ideal).socle_degree + 2)
+
+
+def _row_multiset(rows):
+    return collections.Counter(tuple(sorted(row.items())) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=artinian_degrees())
+@example(case=(parse_ideal("x^40,y^40,z^40"), 60))  # the hexagon Mac(20, 20, 20): S is 20 x 20 and dense
+@example(case=(parse_ideal("x^60,y^3,z^2,x*y*z"), 31))  # xyz splits the runs of the lowest slices
+@example(case=(parse_ideal("x^9,y^2,z^10,x^3*z,y*z"), 3))  # S != +-N: yz blocks the path from y^2 to z^2
+@example(case=(parse_ideal("x^101,y^2,z^101"), 103))  # S has 101 rows
+def test_swept_complement_equals_the_per_row_path_counts(case):
+    ideal, d = case
+    n_up, units, rows, cols = degree_complement(ideal, d)
+    oracle_up, oracle_units, oracle_rows, oracle_cols = path_count_complement(ideal, d)
+    assert (n_up, units, cols) == (oracle_up, oracle_units, oracle_cols)
+    assert _row_multiset(rows) == _row_multiset(oracle_rows)
+
+
+def test_degree_complement_refuses_a_walk_that_drops_an_e_down(monkeypatch):
+    from lefschetz_lab import regions
+
+    ideal, d = parse_ideal("x^4,y^4,z^4"), 6
+    assert len(degree_complement(ideal, d)[2]) == 2
+    walk = regions._slices
+
+    def dropping(ideal, j):
+        """The slice walk with the first E-down cut off the left end of its run."""
+        slices = walk(ideal, j)
+        for n, (ez, band) in enumerate(slices):
+            s = j - ez
+            for k, (lo, hi, w) in enumerate(band):
+                if lo <= s - w < hi:
+                    slices[n] = (ez, band[:k] + ((s - w + 1, hi, w),) + band[k + 1:])
+                    return slices
+        raise AssertionError("the degree has no E-down")
+
+    monkeypatch.setattr(regions, "_slices", dropping)
+    with pytest.raises(InternalCheckError, match="E-downs"):
+        degree_complement(ideal, d)
 
 
 @st.composite

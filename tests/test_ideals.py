@@ -7,13 +7,13 @@ from lefschetz_lab import (
     MonomialIdeal,
     NotArtinianError,
     ParseError,
-    annihilator_of_two_monomials,
-    ci_peak_profile,
     hilbert_function,
     monomials_of_degree,
     parse_ideal,
     socle_profile,
 )
+
+from _paper import annihilator_of_two_monomials, ci_peak_profile
 
 
 def m(a, b, c):
