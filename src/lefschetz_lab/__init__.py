@@ -48,13 +48,8 @@ from .regions import (
     TriangularRegion,
     balance,
     build_region,
-    maximal_minors,
-    merge_touching_punctures,
-    monomial_subregion,
     puncture_analysis,
     region_determinant,
-    restricted_maximal_minors,
-    split_portions,
 )
 from .tilings import (
     EnumerationReport,
@@ -67,19 +62,15 @@ from .tilings import (
     lpsgn,
     msgn,
     signed_enumeration,
-    tiling_from_path_family,
     to_path_family,
 )
 from .formulas import (
     SplitBinomParams,
-    ci_enumeration,
-    ci_nest_enumeration,
     hyperfactorial,
     macmahon,
     split_binom_det,
     two_mahonian_enumeration,
     type_one_odd_minor,
-    type_one_odd_minor_simplified,
 )
 from .wlp import (
     DegreeReport,

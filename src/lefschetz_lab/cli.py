@@ -219,9 +219,9 @@ def _cmd_wlp(args) -> int:
 def _cmd_ci(args) -> int:
     a, b, c = args.a, args.b, args.c
     ideal = parse_ideal(f"x^{a}, y^{b}, z^{c}")
+    bad = bad_primes(ideal)  # its size checks refuse an oversized input before the closed forms run
     verdict0 = type_one_verdict(a, b, c, 0)
     values = verdict0.witnesses
-    bad = bad_primes(ideal)
     d = (a + b + c) // 2
     payload = {
         "schema": SCHEMA,

@@ -1,5 +1,11 @@
-"""Closed-form enumerations of lozenge tilings.  The test suite checks each
-against an independent brute-force count.
+"""Closed-form enumerations of lozenge tilings that the program evaluates:
+MacMahon's box count and the hyperfactorial, the block-binomial determinant
+and the two-Mahonian product behind ``formula``, and the odd restricted
+minors that ``wlp.type_one_verdict`` divides into.  The test suite checks
+each against an independent brute-force count.  The paper's other closed
+forms (the complete-intersection and nested-hexagon counts, the
+block-binomial matrix itself, and the published simplified display of the
+odd minor) are proof devices and live in ``tests/_paper.py``.
 
 All quotients run through exact integer division with a final integrality
 check; a failed check raises instead of truncating, since it can only mean a
@@ -11,10 +17,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import HypothesisError
-from .intlinalg import IntMatrix, binom, exact_quotient
+from .intlinalg import binom, exact_quotient
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,21 +67,6 @@ class SplitBinomParams:
             raise HypothesisError("p, q, r must be nonnegative")
 
 
-def split_binom_matrix(params: SplitBinomParams) -> IntMatrix:
-    """The defining matrix itself, for determinant cross-checks."""
-    p, q, r, m, n = params.p, params.q, params.r, params.m, params.n
-    return IntMatrix(
-        [
-            [
-                binom(p, q + j - i) if j <= m else binom(p, q + r + j - i)
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ],
-        cols=n,
-    )
-
-
 def split_binom_det(params: SplitBinomParams) -> int:
     """Closed form for the determinant of the block-binomial matrix.
 
@@ -91,42 +81,6 @@ def split_binom_det(params: SplitBinomParams) -> int:
     num *= h(q + r) * h(p - q) * h(n + r) * h(n + p)
     den = h(n + p - q) * h(n + q + r) * h(p) * h(r)
     return exact_quotient(num, den)
-
-
-def ci_enumeration(a: int, b: int, c: int) -> int:
-    """Signed-tiling enumeration of the degree (a+b+c)/2 region of
-    (x^a, y^b, z^c): the hexagon with sides (d-a, d-b, d-c).
-
-    Requires the triangle inequalities and an even exponent sum.  All prime
-    divisors of the value stay below d.
-    """
-    if min(a, b, c) < 1:
-        raise HypothesisError("exponents must be positive")
-    if (a + b + c) % 2 != 0:
-        raise HypothesisError("exponent sum must be even")
-    if a > b + c or b > a + c or c > a + b:
-        raise HypothesisError("triangle inequality violated")
-    d = (a + b + c) // 2
-    return macmahon(d - a, d - b, d - c)
-
-
-def ci_nest_enumeration(a: int, b: int, c: int, alpha: int, beta: int, gamma: int) -> int:
-    """Enumeration for a hexagon whose corner puncture was replaced by a
-    smaller hexagon: the region of (x^(a+alpha), y^b, z^c, x^a y^beta,
-    x^a z^gamma).  Both parameter quadruples must satisfy the hexagon
-    hypotheses, the inner one at degree d-a."""
-    if min(a, b, c) < 1 or min(alpha, beta, gamma) < 1:
-        raise HypothesisError("exponents must be positive")
-    if (a + b + c) % 2 != 0 or a > b + c or b > a + c or c > a + b:
-        raise HypothesisError("outer hexagon hypotheses violated")
-    d = (a + b + c) // 2
-    if (alpha + beta + gamma) != 2 * (d - a):
-        raise HypothesisError("inner hexagon must live at degree d - a")
-    if alpha > beta + gamma or beta > alpha + gamma or gamma > alpha + beta:
-        raise HypothesisError("inner triangle inequality violated")
-    return macmahon(d - a, d - b, d - c) * macmahon(
-        d - a - alpha, d - a - beta, d - a - gamma
-    )
 
 
 def two_mahonian_enumeration(a: int, b: int, c: int, alpha: int, beta: int, d: int) -> int:
@@ -157,8 +111,8 @@ def type_one_odd_minor(a: int, b: int, c: int, i: int) -> int:
     d = (a+b+c-1)/2.
 
     This is deliberately the unsimplified specialization of the four-puncture
-    product (the published simplified display disagrees with it; see
-    ``type_one_odd_minor_simplified``).  Brute-force matching counts side
+    product: the published simplified display disagrees with it, and the
+    tests pin the mismatch at (3,3,3,1).  Brute-force matching counts side
     with this version.
     """
     if (a + b + c) % 2 != 1:
@@ -177,24 +131,3 @@ def type_one_odd_minor(a: int, b: int, c: int, i: int) -> int:
     num = h(d - a + 1) * h(d - b + 1) * h(d - c + 1) * h(d)
     den = h(a) * h(b) * h(c) * h(1)
     return exact_quotient(boxes * num, den)
-
-
-def type_one_odd_minor_simplified(a: int, b: int, c: int, i: int) -> Fraction:
-    """The published simplified display for the same minor, kept verbatim for
-    discrepancy reporting: C(d-1,a-1)/C(d-1,i) * C(d-c,a-i-1) * Mac(d-a-1,d-b,d-c).
-
-    Returned as an exact fraction since the leading quotient need not be an
-    integer.  At (3,3,3,1) this evaluates to 1 while the unsimplified product
-    and a direct matching count both give 3.
-    """
-    if (a + b + c) % 2 != 1:
-        raise HypothesisError("exponent sum must be odd")
-    d = (a + b + c - 1) // 2
-    if d < max(a, b, c):
-        raise HypothesisError("need d >= max(a, b, c)")
-    if not (d - 1 - b < i < a):
-        raise HypothesisError("index outside d-1-b < i < a")
-    if d - a - 1 < 0:
-        raise HypothesisError("display undefined: negative box side")
-    lead = Fraction(binom(d - 1, a - 1), binom(d - 1, i))
-    return lead * binom(d - c, a - i - 1) * macmahon(d - a - 1, d - b, d - c)

@@ -5,11 +5,11 @@ H(i, k) = min{g.ez : g.ex <= i, g.ey <= k} over the generators g (infinite
 where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
 ``hilbert_function`` counts every degree off that table in one pass and
 ``socle_profile`` reads the socle off its corners.  One walk over the slices,
-``_slices``, hands out each slice's band of runs: ``_degree_runs`` turns it
-into the ranges of a degree for ``hilbert_value`` and ``standard_monomials``
-(the triangular regions), and ``regions.degree_complement`` (the Schur
-complement the WLP scan reduces) reads two degrees off it by run arithmetic;
-none of them tests a monomial against the generators.
+``_slices``, hands out each slice's band of runs: ``standard_monomials``
+lists a degree off it (the triangular regions), and
+``regions.degree_complement`` (the Schur complement the WLP scan reduces)
+reads two degrees off it by run arithmetic; neither tests a monomial against
+the generators.
 ``MonomialIdeal.__contains__`` remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are
@@ -86,9 +86,6 @@ class Monomial(NamedTuple):
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(max(self.ex, other.ex), max(self.ey, other.ey), max(self.ez, other.ez))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(min(self.ex, other.ex), min(self.ey, other.ey), min(self.ez, other.ez))
 
     def __str__(self) -> str:
         if self == ONE:
@@ -191,9 +188,6 @@ class MonomialIdeal:
         if any(p is None for p in powers):
             raise NotArtinianError(f"ideal ({self}) lacks a pure power of some variable")
         return powers  # type: ignore[return-value]
-
-    def with_generator(self, m: Monomial) -> "MonomialIdeal":
-        return MonomialIdeal(self.gens + (m,))
 
     def permuted(self, sigma: Permutation) -> "MonomialIdeal":
         if sigma.image == (0, 1, 2):  # frozen, so the identity can share self
@@ -367,24 +361,17 @@ def _slices(ideal: MonomialIdeal, j: int) -> list[tuple[int, tuple[tuple[int, fl
     return [(ez, bands[bisect_right(levels, ez)]) for ez in range(min(j, stair.top - 1), -1, -1)]
 
 
-def _degree_runs(ideal: MonomialIdeal, j: int) -> Iterator[tuple[int, list[range]]]:
-    """The degree-j monomials x^i y^(j-e-i) z^e outside I in ascending revlex
-    order: each e from the top down, with the ascending ranges of their i,
-    one per staircase run and possibly empty."""
-    for ez, band in _slices(ideal, j):
-        s = j - ez
-        yield ez, [range(max(lo, s - width + 1), min(hi, s + 1)) for lo, hi, width in band]
-
-
 def standard_monomials(ideal: MonomialIdeal, j: int) -> tuple[Monomial, ...]:
-    """The degree-j monomials outside I in ascending revlex order, listed off
-    ``_degree_runs`` in time proportional to the output plus the slices."""
-    return tuple(Monomial(i, j - ez - i, ez) for ez, runs in _degree_runs(ideal, j) for run in runs for i in run)
-
-
-def hilbert_value(ideal: MonomialIdeal, j: int) -> int:
-    """h(j) alone: the runs of ``_degree_runs`` counted, no monomial built."""
-    return sum(len(run) for _, runs in _degree_runs(ideal, j) for run in runs)
+    """The degree-j monomials x^i y^(j-e-i) z^e outside I in ascending revlex
+    order, listed off ``_slices`` in time proportional to the output plus the
+    slices: each e from the top down, and in a run (lo, hi, width) of its
+    band the i with lo <= i < hi and j-e-width < i <= j-e, ascending."""
+    return tuple(
+        Monomial(i, j - ez - i, ez)
+        for ez, band in _slices(ideal, j)
+        for lo, hi, width in band
+        for i in range(max(lo, j - ez - width + 1), min(hi, j - ez + 1))
+    )
 
 
 @functools.lru_cache(maxsize=8192)

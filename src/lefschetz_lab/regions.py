@@ -29,20 +29,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .errors import InternalCheckError, NotArtinianError
-from .ideals import (
-    Monomial,
-    MonomialIdeal,
-    Y,
-    _slices,
-    hilbert_function,
-    hilbert_value,
-    monomials_of_degree,
-    standard_monomials,
-)
-from .intlinalg import lattice_points, sparse_determinant
+from .ideals import Monomial, MonomialIdeal, _slices, hilbert_function, standard_monomials
+from .intlinalg import sparse_determinant
 
 _EZ_EY = operator.itemgetter(2, 1)
 
@@ -101,28 +91,6 @@ class TriangularRegion:
                 rows.append(tuple(row))
         return tuple(rows)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.up and not self.down
-
-    def without(self, ups=(), downs=()) -> "TriangularRegion":
-        ups = set(ups)
-        downs = set(downs)
-        return TriangularRegion(
-            self.d,
-            (m for m in self.up if m not in ups),
-            (n for n in self.down if n not in downs),
-        )
-
-    def divided_by(self, m: Monomial) -> "TriangularRegion":
-        """Divide every label by m, landing in the degree d - deg(m) triangle.
-
-        Only valid when every label is a multiple of m, e.g. for a monomial
-        subregion; this is how an upper portion is compared with the region
-        of a smaller ideal.
-        """
-        return TriangularRegion(self.d - m.degree, (u // m for u in self.up), (n // m for n in self.down))
-
 
 #: ``check_region_size`` refuses a region with more triangles than this
 #: before it is built or read.  The Mac(50,50,50) hexagon has 15,000.
@@ -132,11 +100,14 @@ MAX_REGION_TRIANGLES = 30_000
 def check_region_size(ideal: MonomialIdeal, d: int) -> None:
     """The one check before the degree-d region of I is built or read: the
     full triangle has d^2 triangles, and past ``MAX_REGION_TRIANGLES`` the
-    region's h(d-1) + h(d-2) come off the staircase first."""
+    region's h(d-1) + h(d-2) come off ``hilbert_function(ideal, d - 1)``,
+    which refuses by ``MAX_HILBERT_DEGREE`` a d - 1 above it, for an Artinian
+    ideal once clamped to a+b+c-1.  The unit ideal has no triangle."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if d * d > MAX_REGION_TRIANGLES:
-        size = hilbert_value(ideal, d - 1) + hilbert_value(ideal, d - 2)
+    if d * d > MAX_REGION_TRIANGLES and ideal.is_proper:
+        h = hilbert_function(ideal, d - 1)
+        size = h[d - 1] + h[d - 2]
         if size > MAX_REGION_TRIANGLES:
             raise ValueError(
                 f"the degree-{d} region has {size} triangles, above the limit "
@@ -259,39 +230,6 @@ class Balance:
 
 def balance(region: TriangularRegion) -> Balance:
     return Balance.of(len(region.up), len(region.down))
-
-
-def monomial_subregion(region: TriangularRegion, m: Monomial) -> TriangularRegion:
-    """The part of the region inside the puncture position of m: all labels
-    divisible by m, re-wrapped as a region of the same degree-d triangle."""
-    if m.degree >= region.d:
-        raise ValueError("subregion monomial must have degree below d")
-    return TriangularRegion(
-        region.d,
-        (u for u in region.up if m.divides(u)),
-        (n for n in region.down if m.divides(n)),
-    )
-
-
-def split_portions(region: TriangularRegion, alpha: int) -> tuple[TriangularRegion, TriangularRegion]:
-    """Cut along the horizontal line alpha rows above the bottom edge.
-
-    The upper portion is the monomial subregion at x^alpha (empty when
-    d <= alpha); the lower portion is the complementary trapezoid.
-    """
-    if alpha < 0:
-        raise ValueError("row index must be nonnegative")
-    upper = TriangularRegion(
-        region.d,
-        (u for u in region.up if u.ex >= alpha),
-        (n for n in region.down if n.ex >= alpha),
-    )
-    lower = TriangularRegion(
-        region.d,
-        (u for u in region.up if u.ex < alpha),
-        (n for n in region.down if n.ex < alpha),
-    )
-    return upper, lower
 
 
 # ---------------------------------------------------------------------------
@@ -422,98 +360,3 @@ def _kasteleyn_cut(region: TriangularRegion) -> list[dict[int, int]] | None:
 def _shifts(t: tuple[int, int, int], s: int) -> tuple[tuple[int, int, int], ...]:
     a, b, c = t
     return (a + s, b, c), (a, b + s, c), (a, b, c + s)
-
-
-def merge_touching_punctures(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
-    """Repeatedly replace a pair of overlapping-or-touching punctures by the
-    puncture of their gcd, whenever the covering region they leave behind is
-    met by no other puncture.
-
-    The covering region minus the two punctures is uniquely tileable, so both
-    the signed and unsigned enumerations of the degree-d region are unchanged
-    (this is verified by tests, not assumed).  The resulting ideal has fewer
-    minimal generators.
-    """
-    current = ideal
-    merged = True
-    while merged:
-        merged = False
-        gens = [g for g in current.gens if g.degree <= d - 1]
-        gens.sort(key=Monomial.revlex_key)
-        for g1, g2 in itertools.combinations(gens, 2):
-            if g1.lcm(g2).degree > d:
-                continue
-            g = g1.gcd(g2)
-            others = [h for h in current.gens if h not in (g1, g2)]
-            cover_cells = [
-                g * rest
-                for j in (d - 1 - g.degree, d - 2 - g.degree)
-                for rest in monomials_of_degree(j)
-            ]
-            leftover = [cell for cell in cover_cells if not (g1.divides(cell) or g2.divides(cell))]
-            if any(h.divides(cell) for cell in leftover for h in others):
-                continue
-            current = current.with_generator(g)
-            merged = True
-            break
-    return current
-
-
-# ---------------------------------------------------------------------------
-# Maximal minors as regions
-# ---------------------------------------------------------------------------
-
-
-def maximal_minors(region: TriangularRegion) -> Iterator[TriangularRegion]:
-    """All balanced subregions obtained by deleting excess-many triangles of
-    the heavy orientation; a balanced region yields only itself.
-
-    The stream is deterministic: combinations of ascending reverse-lex labels
-    in lexicographic combination order.
-    """
-    bal = balance(region)
-    if bal.kind == BALANCED:
-        yield region
-    elif bal.kind == UP_HEAVY:
-        for combo in itertools.combinations(region.up, bal.excess):
-            yield region.without(ups=combo)
-    else:
-        for combo in itertools.combinations(region.down, bal.excess):
-            yield region.without(downs=combo)
-
-
-def restricted_maximal_minors(region: TriangularRegion) -> Iterator[TriangularRegion]:
-    """Maximal minors that only delete lattice start or end triangles.
-
-    In the up-heavy case only A-vertex upward triangles may go; in the
-    down-heavy case only the downward triangles carrying an E-vertex.  These
-    are exactly the minors visible to the lattice path matrix, and always a
-    subset of the full maximal-minor stream.
-    """
-    bal = balance(region)
-    if bal.kind == BALANCED:
-        yield region
-        return
-    pts = lattice_points(region)
-    if bal.kind == UP_HEAVY:
-        candidates = [label for label, _ in pts.a_points]
-        for combo in itertools.combinations(candidates, bal.excess):
-            yield region.without(ups=combo)
-    else:
-        candidates = [label // Y for label, _ in pts.e_points]
-        for combo in itertools.combinations(candidates, bal.excess):
-            yield region.without(downs=combo)
-
-
-def region_ideal(region: TriangularRegion) -> MonomialIdeal:
-    """Reconstruct a monomial ideal whose degree-d region equals the input.
-
-    Exists for regions cut out by an ideal (in particular every up-deletion
-    minor of one): take all absent labels as generators and minimalize.  The
-    caller is responsible for only using it on such regions; the round trip
-    is asserted in tests.
-    """
-    d = region.d
-    absent = [m for m in monomials_of_degree(d - 1) if m not in region.up_set]
-    absent += [n for n in monomials_of_degree(d - 2) if n not in region.down_set]
-    return MonomialIdeal(absent)

@@ -1,8 +1,8 @@
 """Schema-versioned JSON views of the analysis results.
 
 All reports serialize under the ``lefschetz-lab/1`` schema with stable key
-order, and every report type round-trips: parsing the printed JSON
-reconstructs an equal report.
+order.  The program only writes them; the tests parse a printed WLP report
+back (``tests/_paper.py``) and check that it reconstructs an equal report.
 """
 
 from __future__ import annotations
@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .ideals import MonomialIdeal, hilbert_value, parse_ideal
-from .regions import Balance, balance, build_region, puncture_analysis
+from .ideals import MonomialIdeal
+from .regions import balance, build_region, puncture_analysis
 from .tilings import EnumerationReport, is_tileable
-from .wlp import DegreeReport, WlpReport
+from .wlp import WlpReport
 
 SCHEMA = "lefschetz-lab/1"
 
@@ -40,31 +40,6 @@ def wlp_report_to_dict(report: WlpReport) -> dict[str, Any]:
         "bad_primes": list(report.bad_primes) if report.bad_primes is not None else None,
         "method": report.method,
     }
-
-
-def wlp_report_from_dict(payload: dict[str, Any]) -> WlpReport:
-    if payload.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported schema {payload.get('schema')!r}")
-    ideal = parse_ideal(payload["ideal"])
-    degrees = tuple(
-        DegreeReport(
-            d=entry["d"],
-            required_rank=entry["required_rank"],
-            rank_q=entry["rank_q"],
-            rank_mod={int(p): r for p, r in entry["rank_mod"].items()},
-            leading_divisor=entry["leading_divisor"],
-            region_stats=Balance.of(hilbert_value(ideal, entry["d"] - 1), hilbert_value(ideal, entry["d"] - 2)),
-        )
-        for entry in payload["degrees"]
-    )
-    bad = payload["bad_primes"]
-    return WlpReport(
-        ideal=ideal,
-        degrees=degrees,
-        holds_char0=payload["holds_char0"],
-        bad_primes=tuple(bad) if bad is not None else None,
-        method=payload["method"],
-    )
 
 
 def region_report_to_dict(ideal: MonomialIdeal, d: int) -> dict[str, Any]:

@@ -152,22 +152,6 @@ def lpsgn(region, tiling: Tiling) -> int:
     return permutation_sign(list(to_path_family(region, tiling).permutation))
 
 
-def tiling_from_path_family(region, family: PathFamily) -> Tiling:
-    """Invert ``to_path_family``: rebuild the tiling from its walks.
-
-    Every step u -> w of a walk came from the lozenge {w/y, u}; downward
-    triangles on no walk were fused straight up with y times themselves.
-    """
-    pairs: dict[Monomial, Monomial] = {}
-    for walk in family.paths:
-        for u, w in zip(walk, walk[1:]):
-            pairs[w // Y] = u
-    for n in region.down:
-        if n not in pairs:
-            pairs[n] = Y * n
-    return Tiling(pairs)
-
-
 @dataclass(frozen=True)
 class HallViolator:
     """A set of same-orientation triangles with too small a neighborhood."""

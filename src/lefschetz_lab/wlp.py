@@ -60,7 +60,7 @@ from .ideals import (
 )
 from .intlinalg import factorize, is_probable_prime, sparse_invariant_factors
 from .formulas import macmahon, type_one_odd_minor
-from .regions import Balance, check_region_size, degree_complement
+from .regions import check_region_size, degree_complement
 
 METHOD_FULL_SCAN = "full-scan"
 METHOD_PEAK = "peak-shortcut"
@@ -78,7 +78,6 @@ class DegreeReport:
     rank_q: int
     rank_mod: dict[int, int]
     leading_divisor: int | None
-    region_stats: Balance
 
     @property
     def ok_char0(self) -> bool:
@@ -168,7 +167,7 @@ def wlp_full_scan(
         divisor = None
         if divisors:
             divisor = math.prod(factors) if len(factors) == required else 0
-        reports.append(DegreeReport(d, required, len(factors), rmod, divisor, Balance.of(n_up, n_down)))
+        reports.append(DegreeReport(d, required, len(factors), rmod, divisor))
     holds = all(r.ok_char0 for r in reports)
     bad = _prime_set(r.leading_divisor for r in reports) if divisors and holds else None
     return WlpReport(ideal, tuple(reports), holds, bad, METHOD_FULL_SCAN)
@@ -473,8 +472,7 @@ def type2_poschar_bound(ideal: MonomialIdeal) -> PosCharBound:
     computed and checked against the returned bound.
     """
     form = classify_type2(ideal)
-    holds, _ = type2_char0_verdict(ideal)
-    if not holds:
+    if type2_condition_range(form):
         raise ValueError("no bound: the property already fails in characteristic zero")
     if form.form == 2:
         a, b, c = form.a, form.b, form.c

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -26,8 +27,11 @@ from lefschetz_lab import (
     MonomialIdeal,
     TriangularRegion,
     monomials_of_degree,
+    standard_monomials,
 )
-from lefschetz_lab.ideals import VARIABLES, _degree_runs
+from lefschetz_lab.ideals import VARIABLES
+
+_EZ = operator.itemgetter(2)
 
 
 def cofactor_determinant(matrix: IntMatrix) -> int:
@@ -168,17 +172,19 @@ def plane_partition_oracle(a: int, b: int, c: int) -> int:
 
 def path_count_complement(ideal: MonomialIdeal, d: int) -> tuple[int, int, list[dict[int, int]], int]:
     """``regions.degree_complement`` one E-row at a time: the ups of each
-    slice listed off ``_degree_runs``, and for each E-down r a DP over the
-    slices from y*r upward that counts the +x/+z paths to every A-up."""
-    up = {ez: [i for run in runs for i in run] for ez, runs in _degree_runs(ideal, d - 1)}
-    a_cols = {ez: a for a, ez in enumerate(ez for ez, xs in up.items() if xs and xs[-1] == d - 1 - ez)}
+    slice listed off ``standard_monomials``, and for each E-down r a DP over
+    the slices from y*r upward that counts the +x/+z paths to every A-up."""
+    up, down = (
+        {ez: [m.ex for m in group] for ez, group in itertools.groupby(standard_monomials(ideal, j), _EZ)}
+        for j in (d - 1, d - 2)
+    )
+    a_cols = {ez: a for a, ez in enumerate(ez for ez, xs in up.items() if xs[-1] == d - 1 - ez)}
     n_up = sum(map(len, up.values()))
     units = n_up - len(a_cols)
-    down = list(_degree_runs(ideal, d - 2))
-    n_e = sum(len(run) for _, runs in down for run in runs) - units
+    n_e = sum(map(len, down.values())) - units
     rows = []
-    for e0, runs in down if n_e and a_cols else ():
-        for i0 in sorted(set(itertools.chain.from_iterable(runs)).difference(up.get(e0, ()))):  # y*r missing
+    for e0, xs in down.items() if n_e and a_cols else ():
+        for i0 in sorted(set(xs).difference(up.get(e0, ()))):  # y*r missing
             # cur: signed path counts on up slice z^ez, seeded at y*r; prev: slice z^(ez-1)
             row, prev, cur, ez = {}, {}, {i0: -1 if (d - i0 - e0) % 2 else 1}, e0
             while prev or cur:

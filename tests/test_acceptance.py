@@ -26,8 +26,6 @@ from lefschetz_lab import (
     lattice_path_matrix,
     lpsgn,
     macmahon,
-    maximal_minors,
-    monomial_subregion,
     monomials_of_degree,
     msgn,
     parse_ideal,
@@ -35,7 +33,6 @@ from lefschetz_lab import (
     permanent,
     puncture_analysis,
     rank_q,
-    restricted_maximal_minors,
     socle_profile,
     split_binom_det,
     SplitBinomParams,
@@ -43,14 +40,20 @@ from lefschetz_lab import (
     type2_char0_verdict,
     type2_poschar_bound,
     type_one_odd_minor,
-    type_one_odd_minor_simplified,
     type_one_verdict,
     wlp_full_scan,
 )
-from lefschetz_lab.formulas import split_binom_matrix
 from lefschetz_lab.ideals import ALL_PERMUTATIONS
 from lefschetz_lab.wlp import enumerate_type2_ideals
 from _oracles import multiplication_matrix, plane_partition_oracle, random_artinian_ideal
+from _paper import (
+    is_empty,
+    maximal_minors,
+    monomial_subregion,
+    restricted_maximal_minors,
+    split_binom_matrix,
+    type_one_odd_minor_simplified,
+)
 
 
 def _passed(n: int, text: str) -> None:
@@ -288,12 +291,12 @@ def test_criterion_13_structural_invariants():
             n, _ = lattice_path_matrix(region)
             assert abs(determinant(z)) == abs(determinant(n))
             counts["detzn"] += 1
-        if balanced and not region.is_empty and counts["tileable"] < 100:
+        if balanced and not is_empty(region) and counts["tileable"] < 100:
             heavy_free = all(
                 len(sub.down) <= len(sub.up)
                 for j in range(d)
                 for m in monomials_of_degree(j)
-                if not (sub := monomial_subregion(region, m)).is_empty
+                if not is_empty(sub := monomial_subregion(region, m))
             )
             assert is_tileable(region).tileable == heavy_free
             counts["tileable"] += 1

@@ -22,8 +22,9 @@ from lefschetz_lab import build_region, cli, enumerate_tilings, hyperfactorial, 
 from lefschetz_lab.cli import COMMANDS, main
 from lefschetz_lab.ideals import MAX_HILBERT_DEGREE, hilbert_function
 from lefschetz_lab.render import render_ascii, render_svg_text
-from lefschetz_lab.reports import wlp_report_from_dict, wlp_report_to_dict
+from lefschetz_lab.reports import wlp_report_to_dict
 from lefschetz_lab.wlp import analyze_wlp
+from _paper import wlp_report_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -168,6 +169,40 @@ def test_oversized_wlp_is_refused_before_any_reduction(monkeypatch):
     code, out, err = run_cli(["wlp", "x^200,y^200,z^200"])
     assert (code, out) == (1, "")
     assert err == "error: the degree-174 region has 30276 triangles, above the limit MAX_REGION_TRIANGLES = 30000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["ci", "3000", "3000", "3000"], "MAX_REGION_TRIANGLES"),  # even sum: one hexagon count
+        (["ci", "3000", "3001", "3000"], "MAX_REGION_TRIANGLES"),  # odd sum: the restricted minors
+        (["ci", "50000", "50000", "50000"], "MAX_HILBERT_DEGREE"),
+        (["ci", "50000", "50001", "50000", "--char", "2"], "MAX_HILBERT_DEGREE"),
+    ],
+)
+def test_ci_checks_its_size_before_the_closed_forms(monkeypatch, argv, limit):
+    from lefschetz_lab import wlp
+
+    for name in ("macmahon", "type_one_odd_minor"):
+        monkeypatch.setattr(wlp, name, lambda *args, name=name: pytest.fail(f"ci computed {name}"))
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "") and f"{limit} = " in err
+
+
+def test_a_large_degree_reads_its_size_off_the_hilbert_function():
+    # the unit ideal has no triangle, and an Artinian ideal's Hilbert function
+    # stops at a+b+c-1, so neither meets MAX_HILBERT_DEGREE at a small --d
+    code, out, _ = run_cli(["region", "x^0", "--d", "200"])
+    assert code == 0 and "triangles: 0 up, 0 down (balanced, excess 0)\n" in out
+    code, out, _ = run_cli(["count", "x^200000,y^2,z^2", "--d", "200"])
+    assert code == 0 and "tilings: 1\n" in out
+    code, out, _ = run_cli(["region", "x^2,y^2", "--d", str(MAX_HILBERT_DEGREE + 1)])
+    assert code == 0 and "triangles: 4 up, 4 down (balanced, excess 0)\n" in out
+    # past it, h(d-1) is refused by name, whatever the region's size
+    for ideal in ("x^2,y^2", f"x^{MAX_HILBERT_DEGREE},y,z"):
+        code, out, err = run_cli(["region", ideal, "--d", str(MAX_HILBERT_DEGREE + 2)])
+        assert (code, out) == (1, "")
+        assert err == f"error: degree {MAX_HILBERT_DEGREE + 1} is above the limit MAX_HILBERT_DEGREE = {MAX_HILBERT_DEGREE}\n"
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,6 @@ from lefschetz_lab import (
     SplitBinomParams,
     biadjacency,
     build_region,
-    ci_enumeration,
-    ci_nest_enumeration,
     determinant,
     hyperfactorial,
     lattice_path_matrix,
@@ -22,10 +20,9 @@ from lefschetz_lab import (
     split_binom_det,
     two_mahonian_enumeration,
     type_one_odd_minor,
-    type_one_odd_minor_simplified,
 )
-from lefschetz_lab.formulas import split_binom_matrix
 from _oracles import plane_partition_oracle
+from _paper import ci_enumeration, ci_nest_enumeration, split_binom_matrix, type_one_odd_minor_simplified
 
 
 def test_hyperfactorial_values():

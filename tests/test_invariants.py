@@ -22,18 +22,16 @@ from lefschetz_lab import (
     is_tileable,
     lattice_path_matrix,
     lattice_points,
-    maximal_minors,
-    monomial_subregion,
     monomials_of_degree,
     msgn,
     parse_ideal,
     permanent,
     puncture_analysis,
     rank_q,
-    restricted_maximal_minors,
     signed_enumeration,
 )
 from _oracles import multiplication_matrix, random_artinian_ideal
+from _paper import is_empty, maximal_minors, monomial_subregion, restricted_maximal_minors, split_portions, without
 
 
 def _sample(seed: int, count: int, predicate=None, max_power: int = 6):
@@ -108,14 +106,14 @@ def test_even_floating_punctures_force_constant_sign():
 
 def test_tileability_is_no_down_heavy_monomial_subregion():
     def balanced(ideal, d, region):
-        return len(region.up) == len(region.down) and not region.is_empty
+        return len(region.up) == len(region.down) and not is_empty(region)
 
     for ideal, d, region in _sample(105, 110, balanced):
         heavy_free = all(
             len(sub.down) <= len(sub.up)
             for j in range(d)
             for m in monomials_of_degree(j)
-            if not (sub := monomial_subregion(region, m)).is_empty
+            if not is_empty(sub := monomial_subregion(region, m))
         )
         assert is_tileable(region).tileable == heavy_free
 
@@ -154,8 +152,8 @@ def test_replacing_a_balanced_subregion_factors_the_determinant():
     for text, d, exps in cases:
         region = build_region(parse_ideal(text), d)
         sub = monomial_subregion(region, Monomial(*exps))
-        assert len(sub.up) == len(sub.down) and not sub.is_empty
-        rest = region.without(ups=sub.up, downs=sub.down)
+        assert len(sub.up) == len(sub.down) and not is_empty(sub)
+        rest = without(region, ups=sub.up, downs=sub.down)
         det_whole = abs(determinant(biadjacency(region)))
         det_sub = abs(determinant(biadjacency(sub)))
         det_rest = abs(determinant(biadjacency(rest)))
@@ -174,14 +172,14 @@ def test_removing_a_tileable_subregion_preserves_tileability():
         sub = monomial_subregion(region, Monomial(*exps))
         if not is_tileable(sub).tileable:
             continue
-        rest = region.without(ups=sub.up, downs=sub.down)
+        rest = without(region, ups=sub.up, downs=sub.down)
         assert is_tileable(region).tileable == is_tileable(rest).tileable
 
 
 def test_type_two_failure_is_the_opposed_heaviness_configuration():
     # for five-generator normal forms, the characteristic-zero failure at d is
     # exactly: upper portion down-heavy and lower portion up-heavy
-    from lefschetz_lab import classify_type2, socle_profile, split_portions, type2_condition_range
+    from lefschetz_lab import classify_type2, socle_profile, type2_condition_range
     from lefschetz_lab.wlp import enumerate_type2_ideals
 
     for ideal in enumerate_type2_ideals(4):

@@ -20,7 +20,6 @@ from lefschetz_lab import (
     permanent,
     region_determinant,
     signed_enumeration,
-    tiling_from_path_family,
     to_path_family,
 )
 from lefschetz_lab import intlinalg
@@ -33,6 +32,7 @@ from _oracles import (
     random_balanced_region,
     random_floating_ideal,
 )
+from _paper import tiling_from_path_family
 
 FIG3 = "x^7,y^7,z^6,x*y^4*z^2,x^3*y*z^2,x^4*y*z"
 

@@ -18,6 +18,7 @@ from lefschetz_lab import (
     build_region,
     classify_type2,
     conjecture_scan,
+    hilbert_function,
     parse_ideal,
     peak_shortcut,
     socle_profile,
@@ -340,6 +341,18 @@ def test_poschar_bound_requires_char0_wlp():
         type2_poschar_bound(parse_ideal("x^2,y^4,z^4,xy,xz"))
 
 
+def test_poschar_bound_classifies_once(monkeypatch):
+    from lefschetz_lab import wlp
+
+    calls = []
+    monkeypatch.setattr(wlp, "classify_type2", lambda ideal: calls.append(ideal) or classify_type2(ideal))
+    type2_poschar_bound(parse_ideal("x^2,y^2,z^2,xy,xz"))
+    type2_poschar_bound(parse_ideal(EXA))
+    with pytest.raises(ValueError):
+        type2_poschar_bound(parse_ideal("x^2,y^4,z^4,xy,xz"))
+    assert calls == [parse_ideal(text) for text in ("x^2,y^2,z^2,xy,xz", EXA, "x^2,y^4,z^4,xy,xz")]
+
+
 # -- conjecture scan ---------------------------------------------------------------
 
 
@@ -566,11 +579,12 @@ def test_scan_monotonicity_of_surjectivity_and_injectivity():
         ideal = random_artinian_ideal(rng, 5)
         scan = wlp_full_scan(ideal)
         sp = socle_profile(ideal)
-        surj = [r.rank_q == r.region_stats.n_up for r in scan.degrees]
+        h = hilbert_function(ideal)
+        surj = [r.rank_q == h[r.d - 1] for r in scan.degrees]
         for i in range(len(surj) - 1):
             if surj[i]:
                 assert surj[i + 1]
-        inj = {r.d: r.rank_q == r.region_stats.n_down for r in scan.degrees}
+        inj = {r.d: r.rank_q == h[r.d - 2] for r in scan.degrees}
         min_socle = min(sp.degrees)
         for d, is_inj in inj.items():
             if is_inj:
@@ -598,7 +612,8 @@ def test_full_scan_empty_side_degrees():
     report = wlp_full_scan(ideal, primes=(2, 3, big), divisors=True)
     first, last = report.degrees[0], report.degrees[-1]
     assert (first.d, last.d) == (1, socle_profile(ideal).socle_degree + 2)
-    assert (first.region_stats.n_down, last.region_stats.n_up) == (0, 0)
+    h = hilbert_function(ideal)
+    assert (h[first.d - 2], h[last.d - 1]) == (0, 0)
     for r in (first, last):
         assert r.required_rank == 0
         assert r.rank_q == 0
