@@ -7,9 +7,10 @@ where no generator applies): x^i y^k z^e lies outside I iff e < H(i, k).
 ``socle_profile`` reads the socle off its corners.  One walk over the slices,
 ``_slices``, hands out each slice's band of runs: ``standard_monomials``
 lists a degree off it (the triangular regions), and
+``regions.check_region_size`` (a region's size) and
 ``regions.degree_complement`` (the Schur complement the WLP scan reduces)
-reads two degrees off it by run arithmetic; neither tests a monomial against
-the generators.
+read two degrees off it by run arithmetic; none of them tests a monomial
+against the generators.
 ``MonomialIdeal.__contains__`` remains the public membership test.
 
 Everything is exact integer arithmetic on exponent triples.  All values are

@@ -100,14 +100,17 @@ MAX_REGION_TRIANGLES = 30_000
 def check_region_size(ideal: MonomialIdeal, d: int) -> None:
     """The one check before the degree-d region of I is built or read: the
     full triangle has d^2 triangles, and past ``MAX_REGION_TRIANGLES`` the
-    region's h(d-1) + h(d-2) come off ``hilbert_function(ideal, d - 1)``,
-    which refuses by ``MAX_HILBERT_DEGREE`` a d - 1 above it, for an Artinian
-    ideal once clamped to a+b+c-1.  The unit ideal has no triangle."""
+    region's h(d-1) + h(d-2) are counted off the staircase first.  With
+    s = d-1-e, a run (lo, hi, w) of the slice z^e holds the ups
+    lo <= i < hi with s-w < i <= s and the downs with s-w <= i < s."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if d * d > MAX_REGION_TRIANGLES and ideal.is_proper:
-        h = hilbert_function(ideal, d - 1)
-        size = h[d - 1] + h[d - 2]
+    if d * d > MAX_REGION_TRIANGLES:
+        size = 0
+        for ez, band in _slices(ideal, d - 1):
+            s = d - 1 - ez
+            for lo, hi, w in band:
+                size += max(0, min(hi, s + 1) - max(lo, s - w + 1)) + max(0, min(hi, s) - max(lo, s - w))
         if size > MAX_REGION_TRIANGLES:
             raise ValueError(
                 f"the degree-{d} region has {size} triangles, above the limit "

@@ -189,20 +189,19 @@ def test_ci_checks_its_size_before_the_closed_forms(monkeypatch, argv, limit):
     assert (code, out) == (1, "") and f"{limit} = " in err
 
 
-def test_a_large_degree_reads_its_size_off_the_hilbert_function():
-    # the unit ideal has no triangle, and an Artinian ideal's Hilbert function
-    # stops at a+b+c-1, so neither meets MAX_HILBERT_DEGREE at a small --d
+def test_a_large_degree_counts_its_size_off_the_staircase():
+    # no graded piece past MAX_HILBERT_DEGREE is refused by name: the size
+    # check counts h(d-1) + h(d-2) off the staircase, whatever the degree
     code, out, _ = run_cli(["region", "x^0", "--d", "200"])
     assert code == 0 and "triangles: 0 up, 0 down (balanced, excess 0)\n" in out
     code, out, _ = run_cli(["count", "x^200000,y^2,z^2", "--d", "200"])
     assert code == 0 and "tilings: 1\n" in out
-    code, out, _ = run_cli(["region", "x^2,y^2", "--d", str(MAX_HILBERT_DEGREE + 1)])
-    assert code == 0 and "triangles: 4 up, 4 down (balanced, excess 0)\n" in out
-    # past it, h(d-1) is refused by name, whatever the region's size
-    for ideal in ("x^2,y^2", f"x^{MAX_HILBERT_DEGREE},y,z"):
-        code, out, err = run_cli(["region", ideal, "--d", str(MAX_HILBERT_DEGREE + 2)])
-        assert (code, out) == (1, "")
-        assert err == f"error: degree {MAX_HILBERT_DEGREE + 1} is above the limit MAX_HILBERT_DEGREE = {MAX_HILBERT_DEGREE}\n"
+    for d in (MAX_HILBERT_DEGREE + 1, MAX_HILBERT_DEGREE + 2):
+        code, out, _ = run_cli(["region", "x^2,y^2", "--d", str(d)])
+        assert code == 0 and "triangles: 4 up, 4 down (balanced, excess 0)\n" in out
+    # past the socle degree + 2 both pieces are 0, and the region is empty
+    code, out, _ = run_cli(["region", f"x^{MAX_HILBERT_DEGREE},y,z", "--d", str(MAX_HILBERT_DEGREE + 2)])
+    assert code == 0 and "triangles: 0 up, 0 down (balanced, excess 0)\n" in out
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,15 @@ def test_full_scan_trivial_algebra():
     assert report.holds_char0
 
 
+def test_a_long_thin_scan_reads_one_hilbert_function():
+    # every degree past sqrt(MAX_REGION_TRIANGLES) has its size counted off
+    # the staircase, not off a Hilbert function cached per degree
+    hilbert_function.cache_clear()
+    report = wlp_full_scan(parse_ideal("x^3000,y,z"))
+    assert report.holds_char0 and len(report.degrees) == 3001
+    assert hilbert_function.cache_info().currsize == 1
+
+
 def test_full_scan_requires_artinian():
     with pytest.raises(NotArtinianError):
         wlp_full_scan(MonomialIdeal((Monomial(2, 0, 0),)))
