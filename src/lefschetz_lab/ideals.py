@@ -12,6 +12,11 @@ lists a degree off it (the triangular regions), and
 read two degrees off it by run arithmetic; none of them tests a monomial
 against the generators.
 ``MonomialIdeal.__contains__`` remains the public membership test.
+An ideal reads its pure powers off its generators once, in one pass, when
+it is built, and keeps them and its hash on the instance: every
+``lru_cache`` lookup keyed by an ideal hashes it, and the WLP and type-2
+layers ask for its pure powers many times.  The staircase itself is
+``lru_cache``d per ideal and built in one prefix-minimum sweep.
 
 Everything is exact integer arithmetic on exponent triples.  All values are
 immutable after construction and every function is pure, so the module is safe
@@ -137,14 +142,32 @@ ALL_PERMUTATIONS = tuple(
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Drop every generator that is a multiple of another one."""
-    unique = set(gens)
-    minimal = [
-        g for g in unique if not any(h != g and h.divides(g) for h in unique)
-    ]
-    # Descending revlex, the order used for canonical printing.
-    minimal.sort(key=Monomial.revlex_key, reverse=True)
-    return tuple(minimal)
+    """Drop every generator that is a multiple of another one; the rest in
+    descending revlex, the order used for canonical printing.  A proper
+    divisor has lower degree, so in ascending revlex it comes first."""
+    minimal: list[Monomial] = []
+    for g in sorted(set(gens), key=lambda g: (g[0] + g[1] + g[2], -g[2], -g[1], -g[0])):
+        ex, ey, ez = g
+        if not any(h[0] <= ex and h[1] <= ey and h[2] <= ez for h in minimal):
+            minimal.append(g)
+    return tuple(minimal[::-1])
+
+
+def _pure_powers_of(gens: tuple[Monomial, ...]) -> tuple[int | None, int | None, int | None]:
+    """The exponent of each variable's pure power among minimal generators,
+    else None, read in one pass: minimal generators hold at most one pure
+    power per variable, and the unit ideal's 1 is x^0, y^0 and z^0."""
+    if ONE in gens:
+        return (0, 0, 0)
+    pure: list[int | None] = [None, None, None]
+    for ex, ey, ez in gens:
+        if not (ey or ez):
+            pure[0] = ex
+        elif not (ex or ez):
+            pure[1] = ey
+        elif not (ex or ey):
+            pure[2] = ez
+    return tuple(pure)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -159,7 +182,15 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __init__(self, gens: Iterable[Monomial] = ()):
-        object.__setattr__(self, "gens", _minimalize(gens))
+        gens = _minimalize(gens)
+        object.__setattr__(self, "gens", gens)
+        # read once and kept: every lru_cache lookup hashes the ideal, and the
+        # layers above ask for its pure powers many times
+        object.__setattr__(self, "_hash", hash(gens))
+        object.__setattr__(self, "_pure_exponents", _pure_powers_of(gens))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.gens)
@@ -175,18 +206,17 @@ class MonomialIdeal:
 
     def pure_power_exponent(self, var: int) -> int | None:
         """Smallest e with (variable)^e among the generators, else None."""
-        exps = [g[var] for g in self.gens if g.degree == g[var]]
-        return min(exps) if exps else None
+        return self._pure_exponents[var]
 
     @property
     def is_artinian(self) -> bool:
         """True iff the ideal contains a pure power of each variable."""
-        return all(self.pure_power_exponent(v) is not None for v in range(3))
+        return None not in self._pure_exponents
 
     @property
     def pure_powers(self) -> tuple[int, int, int]:
-        powers = tuple(self.pure_power_exponent(v) for v in range(3))
-        if any(p is None for p in powers):
+        powers = self._pure_exponents
+        if None in powers:
             raise NotArtinianError(f"ideal ({self}) lacks a pure power of some variable")
         return powers  # type: ignore[return-value]
 
@@ -326,28 +356,44 @@ def _staircase(ideal: MonomialIdeal) -> _Staircase:
     ys = sorted({0, *(g.ey for g in ideal.gens)})
     x_at = {e: a for a, e in enumerate(xs)}
     y_at = {e: b for b, e in enumerate(ys)}
-    heights = [[math.inf] * len(ys) for _ in xs]
-    for g in ideal.gens:
-        a, b = x_at[g.ex], y_at[g.ey]
-        heights[a][b] = min(heights[a][b], g.ez)
-    for a, row in enumerate(heights):
-        for b in range(len(ys)):
-            row[b] = min(row[b], heights[a - 1][b] if a else math.inf, row[b - 1] if b else math.inf)
+    ny = len(ys)
+    cells = [[math.inf] * ny for _ in xs]
+    for ex, ey, ez in ideal.gens:
+        row = cells[x_at[ex]]
+        b = y_at[ey]
+        if ez < row[b]:
+            row[b] = ez
+    # one prefix-minimum sweep: H(a, b) is the least of cell (a, b),
+    # H(a, b-1) and H(a-1, b)
+    heights = []
+    previous = [math.inf] * ny
+    for row in cells:
+        h = math.inf
+        for b in range(ny):
+            if row[b] < h:
+                h = row[b]
+            if previous[b] < h:
+                h = previous[b]
+            row[b] = h
+        heights.append(tuple(row))
+        previous = row
     levels = sorted({h for row in heights for h in row if h != math.inf})
+    ends = [*xs[1:], math.inf]
     bands = []
-    for n in range(len(levels) + 1):
-        threshold = levels[n - 1] if n else -1
+    for threshold in (-1, *levels):
         runs = []
         for a, row in enumerate(heights):
-            width = next((ys[b] for b, h in enumerate(row) if h <= threshold), math.inf)
-            if width == 0:  # H is nonincreasing in i: the later runs are empty too
+            b = 0
+            while b < ny and row[b] > threshold:
+                b += 1
+            if b == 0:  # H is nonincreasing in i: the later runs are empty too
                 break
-            runs.append((xs[a], xs[a + 1] if a + 1 < len(xs) else math.inf, width))
+            runs.append((xs[a], ends[a], ys[b] if b < ny else math.inf))
         bands.append(tuple(runs))
     return _Staircase(
         xs=tuple(xs),
         ys=tuple(ys),
-        heights=tuple(map(tuple, heights)),
+        heights=tuple(heights),
         levels=tuple(levels),
         bands=tuple(bands),
         top=levels[-1] if not bands[-1] else math.inf,
@@ -432,16 +478,15 @@ def socle_profile(ideal: MonomialIdeal) -> SocleProfile:
     """
     ideal.pure_powers  # raises NotArtinianError; an Artinian staircase is finite
     stair = _staircase(ideal)
-    h = stair.heights
-    socle = sorted(
-        (
-            Monomial(stair.xs[a + 1] - 1, stair.ys[b + 1] - 1, h[a][b] - 1)
-            for a in range(len(stair.xs) - 1)
-            for b in range(len(stair.ys) - 1)
-            if h[a + 1][b] < h[a][b] > h[a][b + 1]
-        ),
-        key=Monomial.revlex_key,
-    )
+    xs, ys, h = stair.xs, stair.ys, stair.heights
+    socle = []
+    for a in range(len(xs) - 1):
+        row, right, i = h[a], h[a + 1], xs[a + 1] - 1
+        for b in range(len(ys) - 1):
+            corner = row[b]
+            if right[b] < corner > row[b + 1]:
+                socle.append(Monomial(i, ys[b + 1] - 1, corner - 1))
+    socle.sort(key=Monomial.revlex_key)
     degrees = tuple(m.degree for m in socle)
     return SocleProfile(
         socle_monomials=tuple(socle),

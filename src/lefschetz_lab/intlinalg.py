@@ -440,8 +440,11 @@ def sparse_invariant_factors(rows: list[dict[int, int]], cols: int) -> tuple[int
     by ``_gcd_step_diagonal``, and replacing each pair (s_i, s_j), i < j, of
     its non-unit diagonal entries by (gcd, lcm), then putting the units
     first, yields the invariant factors (the Smith form is unique).
-    Arbitrary precision, so no overflow is possible.
+    Arbitrary precision, so no overflow is possible.  A matrix with no row
+    or no column has no factor.
     """
+    if not rows or not cols:
+        return ()
     pivots, _, live = _unit_pivots(rows, cols)
     remainder_cols = sorted({j for i in live for j in rows[i]})
     remainder = [[rows[i].get(j, 0) for j in remainder_cols] for i in live]

@@ -35,7 +35,10 @@ the generators of degree below d (each cuts a puncture of side d - deg g),
 and a variable permutation maps the region of I onto that of its image,
 reordering the rows and columns of Z without changing its invariant
 factors or the required rank.  The sharing lives in a dict local to the
-call, keyed by ``_region_key``; each shape is reduced by the uncached
+call, keyed as ``_region_key`` keys it: the canonical form of the
+truncation, then d.  The scan walks each ideal's generators in degree
+order and forms that key once per truncation (at most one per generator),
+not once per degree; each shape is reduced by the uncached
 ``_shape_factors``.
 """
 
@@ -44,6 +47,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -347,12 +352,13 @@ class Type2Form:
 
 
 def _match_normal_form(ideal: MonomialIdeal) -> tuple[int, int, int, int, int, int, int | None] | None:
-    gens = ideal.gens
-    pure = {v: ideal.pure_power_exponent(v) for v in range(3)}
-    if any(e is None for e in pure.values()):
+    if not ideal.is_artinian:
         return None
-    a, b, c = pure[0], pure[1], pure[2]
-    mixed = sorted((g for g in gens if g.degree not in (g.ex, g.ey, g.ez)), key=Monomial.revlex_key)
+    gens = ideal.gens
+    a, b, c = ideal.pure_powers
+    # the generators in two or more variables, in any order: a match needs
+    # one of them, or one of each pattern below
+    mixed = [g for g in gens if g.degree not in g]
     if len(gens) == 4 and len(mixed) == 1:
         g = mixed[0]
         if g.ez == 0 and 0 < g.ex < a and 0 < g.ey < b:
@@ -450,9 +456,19 @@ class PosCharBound:
 
 
 def _hadamard_bound(a: int, b: int, c: int) -> PosCharBound:
+    """ceil(3^e), e = binom(m+2, 2)/2 with m = floor((a+b+c)/2).  Its digit
+    count follows from e, so a bound with more decimal digits than the
+    interpreter prints is refused by name before the power is built."""
     m = (a + b + c) // 2
     exponent_doubled = math.comb(m + 2, 2)  # e = binom(m+2, 2) / 2
     e = Fraction(exponent_doubled, 2)
+    digits = math.floor(exponent_doubled / 2 * math.log10(3)) + 1
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < digits:
+        raise ValueError(
+            f"the Hadamard bound 3^({e}) has about {digits} decimal digits, "
+            f"above sys.get_int_max_str_digits() = {limit}"
+        )
     power = 3**exponent_doubled
     bound = math.isqrt(power)
     if bound * bound < power:
@@ -469,11 +485,13 @@ def type2_poschar_bound(ideal: MonomialIdeal) -> PosCharBound:
     (a+alpha+beta+c)/2} (form 2 only), the linear bound floor((alpha+b+c)/2)
     applies.  Otherwise, and for form 1, the fallback is the Hadamard bound
     3^e with e = binom(floor((a+b+c)/2)+2, 2)/2.  The exact bad primes are
-    computed and checked against the returned bound.
+    computed first, so their size checks refuse an oversized ideal before
+    any bound is built, and then checked against the returned bound.
     """
     form = classify_type2(ideal)
     if type2_condition_range(form):
         raise ValueError("no bound: the property already fails in characteristic zero")
+    bad = bad_primes(ideal)
     if form.form == 2:
         a, b, c = form.a, form.b, form.c
         alpha, beta, gamma = form.alpha, form.beta, form.gamma
@@ -492,7 +510,7 @@ def type2_poschar_bound(ideal: MonomialIdeal) -> PosCharBound:
             e=hadamard.e,
             note="four-generator form: the linear bound is not claimed",
         )
-    for p in bad_primes(ideal):
+    for p in bad:
         if p >= result.bound:
             raise InternalCheckError(f"bad prime {p} reaches the claimed bound {result.bound}")
     return result
@@ -522,10 +540,13 @@ def _primes_up_to(n: int) -> list[int]:
 
 
 def enumerate_type2_ideals(max_exponent: int):
-    """All normalized type-2 ideals with every exponent at most the cap.
+    """All type-2 ideals in normal form with every exponent at most the cap.
 
-    Verdicts and rank data are invariant under variable permutations, so one
-    normalized representative per ideal suffices for scanning.
+    Verdicts and rank data are invariant under variable permutations, so
+    only normal forms are enumerated.  They are not one per isomorphism
+    class: form (i) yields both x^a, y^b, z^c, x^alpha y^beta and its image
+    under x <-> y, and form (ii) both members of each y <-> z pair, so the
+    360 ideals at cap 4 fall in 210 classes (28,224 in 14,616 at cap 8).
     """
     e = max_exponent
     for a in range(2, e + 1):
@@ -568,19 +589,25 @@ def _rank_dropping_primes(factors: tuple[int, ...], primes: Iterable[int]) -> li
     return [p for p in primes if factors and factors[-1] % p == 0]
 
 
-_AXIS_ORDERS = tuple(itertools.permutations(range(3)))
+#: The six variable permutations, each as the getter of a permuted exponent triple.
+_AXIS_ORDERS = tuple(operator.itemgetter(*order) for order in itertools.permutations(range(3)))
+
+
+def _truncation_form(below: tuple[Monomial, ...], forms: dict) -> tuple:
+    """The canonical form of a truncation: the least sorted tuple of its
+    exponent triples over the six variable permutations, memoized in
+    ``forms``."""
+    form = forms.get(below)
+    if form is None:
+        form = forms[below] = min(tuple(sorted(map(permute, below))) for permute in _AXIS_ORDERS)
+    return form
 
 
 def _region_key(ideal: MonomialIdeal, d: int, forms: dict) -> tuple:
     """The key under which ``conjecture_scan`` shares the degree-d region:
-    the generators of degree below d in canonical form, the least sorted
-    tuple of exponent triples over the six variable permutations, and d.
-    ``forms`` memoizes the canonical form per truncation."""
-    below = tuple(g for g in ideal.gens if g.degree < d)
-    form = forms.get(below)
-    if form is None:
-        form = forms[below] = min(tuple(sorted((g[i], g[j], g[k]) for g in below)) for i, j, k in _AXIS_ORDERS)
-    return form, d
+    the canonical form of the generators of degree below d, and d.  The
+    scan forms the same key one truncation at a time."""
+    return _truncation_form(tuple(g for g in ideal.gens if g.degree < d), forms), d
 
 
 def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounterexample]:
@@ -590,15 +617,18 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
     Each scanned degree is read off its invariant factors through
     ``_rank_dropping_primes``.  Ideals that agree below a degree up to a
     variable permutation share that degree's reduction: each
-    ``_region_key`` is reduced once per call.  The factors also re-check the
-    characteristic-zero verdict that admitted each ideal: a degree of short
-    rank over Q raises ``InternalCheckError``.  An empty list supports the
-    conjecture that no such algebra exists.
+    ``_region_key`` is reduced once per call.  The truncation below d
+    changes only past a generator's degree, and the generators come in
+    descending degree, so the truncation is a suffix of them: walking d up,
+    its form is looked up once per truncation, not once per degree.  The
+    factors also re-check the characteristic-zero verdict that admitted
+    each ideal: a degree of short rank over Q raises ``InternalCheckError``.
+    An empty list supports the conjecture that no such algebra exists.
     """
     counterexamples = []
     primes = _primes_up_to(prime_cap)
     forms: dict = {}
-    shared: dict = {}
+    shared: dict = {}  # truncation form -> d -> the degree-d factors
     for ideal in enumerate_type2_ideals(max_exponent):
         holds, _ = type2_char0_verdict(ideal)
         if not holds:
@@ -607,20 +637,26 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
         candidates = [p for p in primes if 2 * p > s]
         if not candidates:
             continue
+        gens = ideal.gens
+        cut, shapes = len(gens), None  # gens[cut:] have degree below d
         for d in _scan_range(ideal):
-            key = _region_key(ideal, d, forms)
-            if key not in shared:
-                shared[key] = _shape_factors(ideal, d)
-            n_up, n_down, factors = shared[key]
+            last = cut
+            while cut and gens[cut - 1].degree < d:
+                cut -= 1
+            if shapes is None or cut != last:
+                shapes = shared.setdefault(_truncation_form(gens[cut:], forms), {})
+            found = shapes.get(d)
+            if found is None:
+                found = shapes[d] = _shape_factors(ideal, d)
+            n_up, n_down, factors = found
             required = min(n_up, n_down)
             if len(factors) < required:
                 raise InternalCheckError(
                     f"type-2 verdict says ({ideal}) has the property, but degree {d} "
                     f"has rank {len(factors)} < {required} over Q"
                 )
-            counterexamples.extend(
-                ConjectureCounterexample(ideal, p, d) for p in _rank_dropping_primes(factors, candidates)
-            )
+            for p in _rank_dropping_primes(factors, candidates):
+                counterexamples.append(ConjectureCounterexample(ideal, p, d))
     return counterexamples
 
 

@@ -9,6 +9,12 @@ adjacency, a row-by-row plane partition count instead of the box
 formula, a flood fill over the missing triangles instead of counting
 the cells of the region, and one path DP per E-row over the listed ups
 instead of one packed sweep over the staircase runs.
+
+The staircase kernels of ``ideals`` are pinned against their earlier
+versions, kept here as written before they were rewritten for speed:
+``minimalize_oracle``, ``pure_power_exponent_oracle``, ``staircase_oracle``
+and ``socle_profile_oracle`` (which reads ``staircase_oracle`` and these
+pure powers instead of the package's).
 """
 
 from __future__ import annotations
@@ -29,9 +35,84 @@ from lefschetz_lab import (
     monomials_of_degree,
     standard_monomials,
 )
-from lefschetz_lab.ideals import VARIABLES
+from lefschetz_lab.errors import NotArtinianError
+from lefschetz_lab.ideals import VARIABLES, SocleProfile, _Staircase
 
 _EZ = operator.itemgetter(2)
+
+
+def minimalize_oracle(gens) -> tuple[Monomial, ...]:
+    """Drop every generator that is a multiple of another one."""
+    unique = set(gens)
+    minimal = [
+        g for g in unique if not any(h != g and h.divides(g) for h in unique)
+    ]
+    # Descending revlex, the order used for canonical printing.
+    minimal.sort(key=Monomial.revlex_key, reverse=True)
+    return tuple(minimal)
+
+
+def pure_power_exponent_oracle(ideal: MonomialIdeal, var: int) -> int | None:
+    """Smallest e with (variable)^e among the generators, else None."""
+    exps = [g[var] for g in ideal.gens if g.degree == g[var]]
+    return min(exps) if exps else None
+
+
+def staircase_oracle(ideal: MonomialIdeal) -> _Staircase:
+    xs = sorted({0, *(g.ex for g in ideal.gens)})
+    ys = sorted({0, *(g.ey for g in ideal.gens)})
+    x_at = {e: a for a, e in enumerate(xs)}
+    y_at = {e: b for b, e in enumerate(ys)}
+    heights = [[math.inf] * len(ys) for _ in xs]
+    for g in ideal.gens:
+        a, b = x_at[g.ex], y_at[g.ey]
+        heights[a][b] = min(heights[a][b], g.ez)
+    for a, row in enumerate(heights):
+        for b in range(len(ys)):
+            row[b] = min(row[b], heights[a - 1][b] if a else math.inf, row[b - 1] if b else math.inf)
+    levels = sorted({h for row in heights for h in row if h != math.inf})
+    bands = []
+    for n in range(len(levels) + 1):
+        threshold = levels[n - 1] if n else -1
+        runs = []
+        for a, row in enumerate(heights):
+            width = next((ys[b] for b, h in enumerate(row) if h <= threshold), math.inf)
+            if width == 0:  # H is nonincreasing in i: the later runs are empty too
+                break
+            runs.append((xs[a], xs[a + 1] if a + 1 < len(xs) else math.inf, width))
+        bands.append(tuple(runs))
+    return _Staircase(
+        xs=tuple(xs),
+        ys=tuple(ys),
+        heights=tuple(map(tuple, heights)),
+        levels=tuple(levels),
+        bands=tuple(bands),
+        top=levels[-1] if not bands[-1] else math.inf,
+    )
+
+
+def socle_profile_oracle(ideal: MonomialIdeal) -> SocleProfile:
+    if any(pure_power_exponent_oracle(ideal, v) is None for v in range(3)):
+        raise NotArtinianError(f"ideal ({ideal}) lacks a pure power of some variable")
+    stair = staircase_oracle(ideal)
+    h = stair.heights
+    socle = sorted(
+        (
+            Monomial(stair.xs[a + 1] - 1, stair.ys[b + 1] - 1, h[a][b] - 1)
+            for a in range(len(stair.xs) - 1)
+            for b in range(len(stair.ys) - 1)
+            if h[a + 1][b] < h[a][b] > h[a][b + 1]
+        ),
+        key=Monomial.revlex_key,
+    )
+    degrees = tuple(m.degree for m in socle)
+    return SocleProfile(
+        socle_monomials=tuple(socle),
+        degrees=degrees,
+        type_=len(socle),
+        socle_degree=max(degrees) if degrees else -1,
+        is_level=len(set(degrees)) <= 1,
+    )
 
 
 def cofactor_determinant(matrix: IntMatrix) -> int:

@@ -189,6 +189,27 @@ def test_ci_checks_its_size_before_the_closed_forms(monkeypatch, argv, limit):
     assert (code, out) == (1, "") and f"{limit} = " in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_type2_checks_its_size_before_the_hadamard_bound(monkeypatch, json_flag):
+    # the bad primes' size checks come first, so 3^binom(m+2, 2) is never built
+    from lefschetz_lab import wlp
+
+    monkeypatch.setattr(wlp, "_hadamard_bound", lambda *args: pytest.fail("built the Hadamard bound"))
+    code, out, err = run_cli(["type2", "x^200000,y^2,z^2,y*z", *json_flag])
+    assert (code, out) == (1, "") and "MAX_HILBERT_DEGREE = " in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_type2_refuses_a_bound_too_long_to_print(json_flag):
+    # the Hadamard bound here has 4,606 digits, past the interpreter's 4,300
+    code, out, err = run_cli(["type2", "x^130,y^130,z^130,x*y", *json_flag])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the Hadamard bound 3^(9653) has about 4606 decimal digits, "
+        f"above sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}\n"
+    )
+
+
 def test_a_large_degree_counts_its_size_off_the_staircase():
     # no graded piece past MAX_HILBERT_DEGREE is refused by name: the size
     # check counts h(d-1) + h(d-2) off the staircase, whatever the degree

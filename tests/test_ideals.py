@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lefschetz_lab import (
     Monomial,
@@ -13,6 +17,14 @@ from lefschetz_lab import (
     socle_profile,
 )
 
+from lefschetz_lab.ideals import _staircase
+from _oracles import (
+    minimalize_oracle,
+    pure_power_exponent_oracle,
+    random_artinian_ideal,
+    socle_profile_oracle,
+    staircase_oracle,
+)
 from _paper import annihilator_of_two_monomials, ci_peak_profile
 
 
@@ -219,3 +231,58 @@ def test_ci_peak_profile_matches_hilbert_everywhere():
                     assert h[j - 2] == h[j - 1]
                 for j in prof.decreasing:
                     assert h[j - 2] > h[j - 1]
+
+
+# -- the staircase kernels against their earlier versions ---------------------------
+
+_TRIPLES = st.lists(st.tuples(*[st.integers(0, 6)] * 3).map(lambda t: Monomial(*t)), max_size=6)
+
+
+@st.composite
+def _generator_lists(draw) -> list[Monomial]:
+    """Generator lists, possibly with repeats and multiples: an Artinian
+    ideal's, or any few monomials (non-Artinian, unit or zero ideals)."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return list(random_artinian_ideal(rng, draw(st.integers(1, 9)), draw(st.integers(0, 4))).gens)
+    return draw(_TRIPLES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=_generator_lists())
+@example(gens=[])  # the zero ideal
+@example(gens=[Monomial(0, 0, 0)])  # the unit ideal
+@example(gens=[Monomial(0, 0, 0), Monomial(2, 0, 0), Monomial(1, 1, 1)])
+@example(gens=[Monomial(3, 0, 0), Monomial(0, 2, 0), Monomial(1, 1, 0)])  # no power of z
+# a cell whose upper neighbour is lower but whose right one is not: no socle there
+@example(gens=[Monomial(2, 0, 0), Monomial(0, 5, 0), Monomial(0, 0, 3), Monomial(0, 1, 1), Monomial(1, 4, 0)])
+def test_staircase_socle_and_pure_powers_match_their_oracles(gens):
+    ideal = MonomialIdeal(gens)
+    assert ideal.gens == minimalize_oracle(gens)
+    assert _staircase(ideal) == staircase_oracle(ideal)
+    pure = tuple(pure_power_exponent_oracle(ideal, v) for v in range(3))
+    assert tuple(ideal.pure_power_exponent(v) for v in range(3)) == pure
+    assert ideal.is_artinian == (None not in pure)
+    if None in pure:
+        with pytest.raises(NotArtinianError):
+            ideal.pure_powers
+        with pytest.raises(NotArtinianError):
+            socle_profile(ideal)
+    else:
+        assert ideal.pure_powers == pure
+        assert socle_profile(ideal) == socle_profile_oracle(ideal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=_generator_lists(), other=_generator_lists(), seed=st.integers(0, 2**32))
+def test_hash_and_equality_agree_on_permuted_and_repeated_generators(gens, other, seed):
+    rng = random.Random(seed)
+    shuffled = gens + [rng.choice(gens) for _ in range(rng.randint(0, 3))] if gens else []
+    rng.shuffle(shuffled)
+    ideal, twin = MonomialIdeal(gens), MonomialIdeal(shuffled)
+    assert ideal == twin and hash(ideal) == hash(twin)
+    assert {ideal: 1}[twin] == 1
+    third = MonomialIdeal(other)
+    assert (ideal == third) == (minimalize_oracle(gens) == minimalize_oracle(other))
+    if ideal == third:
+        assert hash(ideal) == hash(third)
