@@ -29,17 +29,21 @@ scan (``--all-primes``) is its runtime check.  ``conjecture_scan`` reads the
 same factors: a prime lowers the rank of Z over GF(p) exactly when it
 divides the last one.
 
-Across the ideals of one conjecture scan, each region shape is reduced
-once.  Two invariances make that exact: the degree-d region depends only on
-the generators of degree below d (each cuts a puncture of side d - deg g),
-and a variable permutation maps the region of I onto that of its image,
-reordering the rows and columns of Z without changing its invariant
-factors or the required rank.  The sharing lives in a dict local to the
-call, keyed as ``_region_key`` keys it: the canonical form of the
-truncation, then d.  The scan walks each ideal's generators in degree
-order and forms that key once per truncation (at most one per generator),
-not once per degree; each shape is reduced by the uncached
-``_shape_factors``.
+Across the ideals of one conjecture scan, each isomorphism class is
+answered once and each region shape is reduced once.  Two invariances make
+that exact: the degree-d region depends only on the generators of degree
+below d (each cuts a puncture of side d - deg g), and a variable
+permutation maps the region of I onto that of its image, reordering the
+rows and columns of Z without changing its invariant factors or the
+required rank; nor does it change the verdict or a+b+c.  The sharing lives
+in dicts local to the call.  One maps the canonical form of all the
+generators to the (p, d) at which that class fails, so the enumeration's
+twins are classified and scanned once.  The other is keyed as
+``_region_key`` keys it, the canonical form of the truncation and then d,
+and holds the primes up to the cap dividing the shape's last invariant
+factor.  The scan walks each ideal's generators in degree order and forms
+that key once per truncation (at most one per generator), not once per
+degree; each shape is reduced by the uncached ``_shape_factors``.
 """
 
 from __future__ import annotations
@@ -539,6 +543,20 @@ def _primes_up_to(n: int) -> list[int]:
     return out
 
 
+#: ``conjecture_scan`` refuses, before it builds any ideal, exponent caps
+#: whose enumeration holds more ideals than this (cap 8 holds 28,224).
+MAX_SCAN_IDEALS = 100_000
+
+
+def _type2_ideal_count(max_exponent: int) -> int:
+    """How many ideals ``enumerate_type2_ideals`` yields: with n = e(e-1)/2
+    choices of (a, alpha), and as many of (b, beta) and of (c, gamma),
+    form (i) has e * n^2 and form (ii) n^3."""
+    e = max_exponent
+    n = e * (e - 1) // 2
+    return e * n * n + n**3
+
+
 def enumerate_type2_ideals(max_exponent: int):
     """All type-2 ideals in normal form with every exponent at most the cap.
 
@@ -547,6 +565,9 @@ def enumerate_type2_ideals(max_exponent: int):
     class: form (i) yields both x^a, y^b, z^c, x^alpha y^beta and its image
     under x <-> y, and form (ii) both members of each y <-> z pair, so the
     360 ideals at cap 4 fall in 210 classes (28,224 in 14,616 at cap 8).
+    ``conjecture_scan`` answers each class once, keyed by the canonical
+    form of its generators; ``_type2_ideal_count`` counts the ideals
+    yielded.
     """
     e = max_exponent
     for a in range(2, e + 1):
@@ -614,50 +635,79 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
     """Search for a type-2 algebra with the property in characteristic zero
     that loses it at some prime p with 2p > a+b+c, up to the given caps.
 
-    Each scanned degree is read off its invariant factors through
-    ``_rank_dropping_primes``.  Ideals that agree below a degree up to a
+    It answers ``[]`` at once when no prime p <= ``prime_cap`` has 2p > 5,
+    the least a+b+c enumerated, and refuses by ``MAX_SCAN_IDEALS`` before it
+    builds any ideal.  An ideal whose a+b+c reaches twice the largest prime
+    is skipped before it is classified.
+
+    The enumeration's twins are answered once: each ideal is keyed by the
+    canonical form of all its generators, and the first member of a class
+    is classified and scanned, giving the (p, d) at which it fails; each
+    later member reuses them.  Ideals that agree below a degree up to a
     variable permutation share that degree's reduction: each
-    ``_region_key`` is reduced once per call.  The truncation below d
-    changes only past a generator's degree, and the generators come in
-    descending degree, so the truncation is a suffix of them: walking d up,
-    its form is looked up once per truncation, not once per degree.  The
-    factors also re-check the characteristic-zero verdict that admitted
-    each ideal: a degree of short rank over Q raises ``InternalCheckError``.
-    An empty list supports the conjecture that no such algebra exists.
+    ``_region_key`` is reduced once per call, and the primes <= prime_cap
+    dividing its last invariant factor (``_rank_dropping_primes``) are
+    found once per shape; each ideal only keeps those with 2p > a+b+c.  The
+    truncation below d changes only past a generator's degree, and the
+    generators come in descending degree, so the truncation is a suffix of
+    them: walking d up, its form is looked up once per truncation, not once
+    per degree.  The factors also re-check the characteristic-zero verdict
+    that admitted each ideal: a degree of short rank over Q raises
+    ``InternalCheckError``.  An empty list supports the conjecture that no
+    such algebra exists.
     """
-    counterexamples = []
     primes = _primes_up_to(prime_cap)
+    if not primes or 2 * primes[-1] <= 5:
+        return []
+    count = _type2_ideal_count(max_exponent)
+    if count > MAX_SCAN_IDEALS:
+        raise ValueError(
+            f"exponents up to {max_exponent} give {count} type-2 ideals, "
+            f"above MAX_SCAN_IDEALS = {MAX_SCAN_IDEALS}"
+        )
+    counterexamples = []
     forms: dict = {}
-    shared: dict = {}  # truncation form -> d -> the degree-d factors
+    shared: dict = {}  # truncation form -> d -> the primes <= prime_cap dividing s_r
+    classes: dict = {}  # canonical form -> the (p, d) at which the class fails
     for ideal in enumerate_type2_ideals(max_exponent):
-        holds, _ = type2_char0_verdict(ideal)
-        if not holds:
-            continue
         s = sum(ideal.pure_powers)
-        candidates = [p for p in primes if 2 * p > s]
-        if not candidates:
+        if 2 * primes[-1] <= s:
             continue
-        gens = ideal.gens
-        cut, shapes = len(gens), None  # gens[cut:] have degree below d
-        for d in _scan_range(ideal):
-            last = cut
-            while cut and gens[cut - 1].degree < d:
-                cut -= 1
-            if shapes is None or cut != last:
-                shapes = shared.setdefault(_truncation_form(gens[cut:], forms), {})
-            found = shapes.get(d)
-            if found is None:
-                found = shapes[d] = _shape_factors(ideal, d)
-            n_up, n_down, factors = found
+        form = _truncation_form(ideal.gens, forms)
+        failures = classes.get(form)
+        if failures is None:
+            failures = classes[form] = _class_failures(ideal, s, primes, forms, shared)
+        counterexamples.extend(ConjectureCounterexample(ideal, p, d) for p, d in failures)
+    return counterexamples
+
+
+def _class_failures(ideal: MonomialIdeal, s: int, primes: list[int], forms: dict, shared: dict) -> tuple:
+    """The (p, d), in scan order, at which a type-2 ideal with a+b+c = s
+    loses the property at a prime p with 2p > s: none unless it has the
+    property in characteristic zero."""
+    if not type2_char0_verdict(ideal)[0]:
+        return ()
+    failures = []
+    gens = ideal.gens
+    cut, shapes = len(gens), None  # gens[cut:] have degree below d
+    for d in _scan_range(ideal):
+        last = cut
+        while cut and gens[cut - 1].degree < d:
+            cut -= 1
+        if shapes is None or cut != last:
+            shapes = shared.setdefault(_truncation_form(gens[cut:], forms), {})
+        dropping = shapes.get(d)
+        if dropping is None:
+            n_up, n_down, factors = _shape_factors(ideal, d)
             required = min(n_up, n_down)
             if len(factors) < required:
                 raise InternalCheckError(
                     f"type-2 verdict says ({ideal}) has the property, but degree {d} "
                     f"has rank {len(factors)} < {required} over Q"
                 )
-            for p in _rank_dropping_primes(factors, candidates):
-                counterexamples.append(ConjectureCounterexample(ideal, p, d))
-    return counterexamples
+            dropping = shapes[d] = _rank_dropping_primes(factors, primes)
+        failures.extend((p, d) for p in dropping if 2 * p > s)
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ The staircase kernels of ``ideals`` are pinned against their earlier
 versions, kept here as written before they were rewritten for speed:
 ``minimalize_oracle``, ``pure_power_exponent_oracle``, ``staircase_oracle``
 and ``socle_profile_oracle`` (which reads ``staircase_oracle`` and these
-pure powers instead of the package's).
+pure powers instead of the package's).  ``per_ideal_conjecture_scan`` is
+the conjecture scan as written before it answered each isomorphism class
+once: it classifies and scans every enumerated ideal, twins included.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from lefschetz_lab import (
+    InternalCheckError,
     IntMatrix,
     Monomial,
     MonomialIdeal,
@@ -36,7 +39,17 @@ from lefschetz_lab import (
     standard_monomials,
 )
 from lefschetz_lab.errors import NotArtinianError
+from lefschetz_lab import wlp
 from lefschetz_lab.ideals import VARIABLES, SocleProfile, _Staircase
+from lefschetz_lab.wlp import (
+    ConjectureCounterexample,
+    _primes_up_to,
+    _scan_range,
+    _shape_factors,
+    _truncation_form,
+    enumerate_type2_ideals,
+    type2_char0_verdict,
+)
 
 _EZ = operator.itemgetter(2)
 
@@ -383,3 +396,42 @@ def has_floating_group(region: TriangularRegion) -> bool:
                 reached.add(w)
                 frontier.append(w)
     return len(reached) < len(links)
+
+
+def per_ideal_conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounterexample]:
+    """The conjecture scan that classifies and scans each enumerated ideal,
+    sharing only the reduction of each region shape.  It looks
+    ``wlp._rank_dropping_primes`` up at call time, so a test can patch it."""
+    counterexamples = []
+    primes = _primes_up_to(prime_cap)
+    forms: dict = {}
+    shared: dict = {}  # truncation form -> d -> the degree-d factors
+    for ideal in enumerate_type2_ideals(max_exponent):
+        holds, _ = type2_char0_verdict(ideal)
+        if not holds:
+            continue
+        s = sum(ideal.pure_powers)
+        candidates = [p for p in primes if 2 * p > s]
+        if not candidates:
+            continue
+        gens = ideal.gens
+        cut, shapes = len(gens), None  # gens[cut:] have degree below d
+        for d in _scan_range(ideal):
+            last = cut
+            while cut and gens[cut - 1].degree < d:
+                cut -= 1
+            if shapes is None or cut != last:
+                shapes = shared.setdefault(_truncation_form(gens[cut:], forms), {})
+            found = shapes.get(d)
+            if found is None:
+                found = shapes[d] = _shape_factors(ideal, d)
+            n_up, n_down, factors = found
+            required = min(n_up, n_down)
+            if len(factors) < required:
+                raise InternalCheckError(
+                    f"type-2 verdict says ({ideal}) has the property, but degree {d} "
+                    f"has rank {len(factors)} < {required} over Q"
+                )
+            for p in wlp._rank_dropping_primes(factors, candidates):
+                counterexamples.append(ConjectureCounterexample(ideal, p, d))
+    return counterexamples

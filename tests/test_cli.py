@@ -65,6 +65,17 @@ def test_scan_refuses_caps_that_scan_nothing(flag, value):
     assert out == ""
 
 
+def test_scan_answers_or_refuses_before_it_enumerates(monkeypatch):
+    from lefschetz_lab import wlp
+
+    monkeypatch.setattr(wlp, "enumerate_type2_ideals", lambda e: pytest.fail("the enumeration must not start"))
+    # no prime p <= 2 has 2p > 5, the least a+b+c enumerated
+    code, out, _ = run_cli(["scan", "--max-exponent", "30", "--prime-cap", "2", "--json"])
+    assert code == 0 and json.loads(out)["counterexamples"] == []
+    code, out, err = run_cli(["scan", "--max-exponent", "30", "--prime-cap", "31"])
+    assert code == 1 and out == "" and "MAX_SCAN_IDEALS" in err
+
+
 def test_count_answers_a_huge_floating_region_before_enumerating(monkeypatch):
     # a hexagon of sides 9 and 11 with a floating side-2 puncture, whose
     # signed matching count would outgrow the live-set cap

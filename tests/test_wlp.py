@@ -32,17 +32,21 @@ from lefschetz_lab import (
 from lefschetz_lab.ideals import ALL_PERMUTATIONS, Y
 from lefschetz_lab.intlinalg import biadjacency, smith_invariant_factors
 from lefschetz_lab.wlp import (
+    MAX_SCAN_IDEALS,
     _degree_factors,
     _primes_up_to,
     _rank_dropping_primes,
     _region_key,
     _scan_range,
     _shape_factors,
+    _truncation_form,
+    _type2_ideal_count,
     enumerate_type2_ideals,
 )
 from _oracles import (
     fraction_rank,
     multiplication_matrix,
+    per_ideal_conjecture_scan,
     plain_rank_mod,
     random_artinian_ideal,
     random_low_socle_ideal,
@@ -450,19 +454,63 @@ def test_conjecture_scan_reduces_each_region_shape_once(monkeypatch):
 
 def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch):
     # whatever the scan shares, the factors it tests must be those of each
-    # admitted ideal's own region, degree by degree
+    # admitted ideal's own region, degree by degree, twins included
     from lefschetz_lab import wlp
 
-    expected = [smith_invariant_factors(biadjacency(build_region(ideal, d))) for ideal, d in _admitted_degrees(4, 31)]
-    seen = []
+    forms: dict = {}
+    recorded = {}
 
-    def spy(factors, primes):
-        seen.append(factors)
-        return _rank_dropping_primes(factors, primes)
+    def spy(ideal, d):
+        found = _shape_factors(ideal, d)
+        recorded[_region_key(ideal, d, forms)] = found[2]
+        return found
 
-    monkeypatch.setattr(wlp, "_rank_dropping_primes", spy)
+    monkeypatch.setattr(wlp, "_shape_factors", spy)
     assert conjecture_scan(4, 31) == []
-    assert seen == expected
+    admitted = _admitted_degrees(4, 31)
+    assert len(admitted) == 2474
+    for ideal, d in admitted:
+        dense = smith_invariant_factors(biadjacency(build_region(ideal, d)))
+        assert recorded[_region_key(ideal, d, forms)] == dense, (str(ideal), d)
+
+
+@pytest.mark.parametrize("caps", [(3, 13), (4, 7), (4, 31)])
+def test_conjecture_scan_equals_a_per_ideal_scan(monkeypatch, caps):
+    # with every prime reported, the lists are long and hold both members
+    # of each pair of twins; answering each class once must not change them
+    from lefschetz_lab import wlp
+
+    monkeypatch.setattr(wlp, "_rank_dropping_primes", lambda factors, primes: list(primes))
+    expected = per_ideal_conjecture_scan(*caps)
+    classified = []
+    monkeypatch.setattr(wlp, "type2_char0_verdict", lambda ideal: classified.append(ideal) or type2_char0_verdict(ideal))
+    found = conjecture_scan(*caps)
+    assert found == expected
+    ideals = {c.ideal for c in found}
+    assert len(ideals) > len({_truncation_form(ideal.gens, {}) for ideal in ideals})
+    assert len(classified) == len(set(classified)) == {3: 36, 4: 210}[caps[0]]
+
+
+def test_conjecture_scan_classifies_only_ideals_a_prime_can_reach(monkeypatch):
+    # at prime cap 5 only a+b+c < 10 can report anything
+    from lefschetz_lab import wlp
+
+    classified = []
+    monkeypatch.setattr(wlp, "type2_char0_verdict", lambda ideal: classified.append(ideal) or type2_char0_verdict(ideal))
+    assert conjecture_scan(4, 5) == []
+    assert classified and max(sum(ideal.pure_powers) for ideal in classified) == 9
+
+
+@pytest.mark.parametrize("e, ideals, classes", [(3, 54, 36), (4, 360, 210), (5, 1500, 825)])
+def test_type2_enumeration_count(e, ideals, classes):
+    # the count the size check reads, and the classes the scan answers once
+    n = e * (e - 1) // 2
+    enumerated = list(enumerate_type2_ideals(e))
+    assert len(enumerated) == _type2_ideal_count(e) == e * n**2 + n**3 == ideals
+    forms: dict = {}
+    assert len({_truncation_form(ideal.gens, forms) for ideal in enumerated}) == classes
+    # cap 9 is the largest the scan answers
+    assert _type2_ideal_count(9) <= MAX_SCAN_IDEALS < _type2_ideal_count(10)
 
 
 @settings(max_examples=40, deadline=None)
