@@ -19,9 +19,12 @@ from .errors import ExactnessError, NotArtinianError, ParseError
 from .formulas import (
     SplitBinomParams,
     hyperfactorial,
+    mac_terms,
     macmahon,
     split_binom_det,
+    split_binom_terms,
     two_mahonian_enumeration,
+    two_mahonian_terms,
 )
 from .ideals import MonomialIdeal, hilbert_function, parse_ideal, socle_profile
 from .intlinalg import factorize, is_probable_prime
@@ -330,11 +333,6 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _mac_terms(a: int, b: int, c: int) -> tuple[list[int], list[int]]:
-    """Mac(a, b, c) = H(a) H(b) H(c) H(a+b+c) / (H(a+b) H(a+c) H(b+c))."""
-    return [a, b, c, a + b + c], [a + b, a + c, b + c]
-
-
 def _log_hyperfactorial(n: int) -> float:
     """ln H(n) = ln G(n+1): the sum of ln i! over i < n up to n = 1000; above,
     Barnes G's expansion, ending in zeta'(-1) = -0.16542..., whose first
@@ -358,7 +356,7 @@ def _check_printable(desc: str, num: list[int], den: list[int]) -> None:
 def _cmd_formula(args) -> int:
     # each value is a quotient of hyperfactorials H(n), of these arguments n
     if args.formula == "mac":
-        desc, (num, den) = f"Mac({args.a},{args.b},{args.c})", _mac_terms(args.a, args.b, args.c)
+        desc, (num, den) = f"Mac({args.a},{args.b},{args.c})", mac_terms(args.a, args.b, args.c)
         compute, params = macmahon, (args.a, args.b, args.c)
     elif args.formula == "hyper":
         desc, num, den = f"H({args.n})", [args.n], []
@@ -366,15 +364,12 @@ def _cmd_formula(args) -> int:
     elif args.formula == "splitdet":
         p, q, r, m, n = args.p, args.q, args.r, args.m, args.n
         desc = f"splitdet(p={p},q={q},r={r},m={m},n={n})"
-        (num1, den1), (num2, den2) = _mac_terms(m, q, r), _mac_terms(n - m, p - q - r, r)
-        num, den = num1 + num2 + [q + r, p - q, n + r, n + p], den1 + den2 + [n + p - q, n + q + r, p, r]
         compute, params = split_binom_det, (SplitBinomParams(p, q, r, m, n),)
+        num, den = split_binom_terms(*params)
     else:
         a, b, c, alpha, beta, d = params = args.a, args.b, args.c, args.alpha, args.beta, args.d
-        desc, s = f"twomahonian(a={a},b={b},c={c},alpha={alpha},beta={beta},d={d})", d - (alpha + beta)
-        (num1, den1), (num2, den2) = _mac_terms(a + beta - d, d - a, s), _mac_terms(alpha + b - d, d - b, s)
-        num, den = num1 + num2 + [d - a + s, d - b + s, d - c + s, d], den1 + den2 + [a, b, c, s]
-        compute = two_mahonian_enumeration
+        desc = f"twomahonian(a={a},b={b},c={c},alpha={alpha},beta={beta},d={d})"
+        compute, (num, den) = two_mahonian_enumeration, two_mahonian_terms(*params)
     _check_printable(desc, num, den)
     value = compute(*params)
     if args.json:

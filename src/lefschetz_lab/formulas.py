@@ -7,19 +7,31 @@ forms (the complete-intersection and nested-hexagon counts, the
 block-binomial matrix itself, and the published simplified display of the
 odd minor) are proof devices and live in ``tests/_paper.py``.
 
-All quotients run through exact integer division with a final integrality
-check; a failed check raises instead of truncating, since it can only mean a
-bug or a hypothesis breach.  The binomial convention throughout is
-C(n, k) = 0 outside 0 <= k <= n, matching lattice path counts.
+All quotients are exact: a quotient that is not an integer raises instead
+of truncating, since it can only mean a bug or a hypothesis breach.  The
+block-binomial determinant and the two-Mahonian product are each stated
+once, as the hyperfactorial arguments of their numerator and denominator
+(``split_binom_terms``, ``two_mahonian_terms``, with ``mac_terms`` for each
+box count); the CLI reads the same lists to size a value before it is
+computed, and ``hyperfactorial_quotient`` evaluates them from prime
+valuations, so a small value with large arguments is cheap.  The binomial
+convention throughout is C(n, k) = 0 outside 0 <= k <= n, matching lattice
+path counts.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import HypothesisError
+from .errors import ExactnessError, HypothesisError
 from .intlinalg import binom, exact_quotient
+
+#: ``hyperfactorial_quotient`` refuses a larger argument before it allocates
+#: anything: its tables hold one entry per integer up to the largest one.
+MAX_HYPERFACTORIAL_ARGUMENT = 10**6
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,6 +61,58 @@ def macmahon(a: int, b: int, c: int) -> int:
     return exact_quotient(num, den)
 
 
+def hyperfactorial_quotient(num: list[int], den: list[int]) -> int:
+    """The integer H(num[0]) H(num[1]) ... / (H(den[0]) H(den[1]) ...),
+    from its prime valuations; no hyperfactorial is built.
+
+    H(n) = prod_{t<n} t^(n-t), so the quotient is prod_t t^e(t) with
+    e(t) = sum_i (num_i - t)^+ - sum_j (den_j - t)^+.  e is summed twice
+    from its second differences, +1 at each num_i and -1 at each den_j, and
+    by Legendre v_p of the quotient is the sum of e over the multiples of
+    each power of p.  A negative valuation raises ``ExactnessError``.
+    """
+    args = num + den
+    if min(args, default=0) < 0:
+        raise ValueError("hyperfactorial of a negative integer")
+    top = max(args, default=0)
+    if top > MAX_HYPERFACTORIAL_ARGUMENT:
+        raise ValueError(
+            f"hyperfactorial argument {top} is above "
+            f"MAX_HYPERFACTORIAL_ARGUMENT = {MAX_HYPERFACTORIAL_ARGUMENT}"
+        )
+    second = [0] * (top + 1)
+    for n in num:
+        second[n] += 1
+    for n in den:
+        second[n] -= 1
+    # summed from the top down: the first sum counts the signed arguments
+    # above t, the second is e(t); reversed, exps[t] = e(t)
+    above = itertools.accumulate(reversed(second), initial=0)
+    exps = list(itertools.accumulate(itertools.islice(above, top + 1)))[::-1]
+    composite = bytearray(top)
+    powers = []
+    for p in range(2, top):
+        if composite[p]:
+            continue
+        if p * p < top:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, top, p))
+        v, q = 0, p
+        while q < top:
+            v += sum(exps[q::q])
+            q *= p
+        if v < 0:
+            raise ExactnessError(f"the hyperfactorial quotient has valuation {v} at {p}, not an integer")
+        if v:
+            powers.append(p**v)
+    return math.prod(powers)
+
+
+def mac_terms(a: int, b: int, c: int) -> tuple[list[int], list[int]]:
+    """Mac(a, b, c) = H(a) H(b) H(c) H(a+b+c) / (H(a+b) H(a+c) H(b+c)), as
+    the arguments of its numerator and denominator."""
+    return [a, b, c, a + b + c], [a + b, a + c, b + c]
+
+
 @dataclass(frozen=True)
 class SplitBinomParams:
     """Parameters of the block-binomial matrix: an n x n matrix whose first m
@@ -73,14 +137,18 @@ def split_binom_det(params: SplitBinomParams) -> int:
     Valid whenever every hyperfactorial argument is nonnegative, i.e. for
     p >= q + r; the r = 0 case collapses to a single box count.
     """
-    p, q, r, m, n = params.p, params.q, params.r, params.m, params.n
-    if p - q - r < 0:
+    if params.p - params.q - params.r < 0:
         raise HypothesisError("closed form needs p >= q + r")
-    h = hyperfactorial
-    num = macmahon(m, q, r) * macmahon(n - m, p - q - r, r)
-    num *= h(q + r) * h(p - q) * h(n + r) * h(n + p)
-    den = h(n + p - q) * h(n + q + r) * h(p) * h(r)
-    return exact_quotient(num, den)
+    return hyperfactorial_quotient(*split_binom_terms(params))
+
+
+def split_binom_terms(params: SplitBinomParams) -> tuple[list[int], list[int]]:
+    """The hyperfactorial arguments of ``split_binom_det``'s numerator and
+    denominator: Mac(m, q, r) Mac(n-m, p-q-r, r) H(q+r) H(p-q) H(n+r) H(n+p)
+    over H(n+p-q) H(n+q+r) H(p) H(r)."""
+    p, q, r, m, n = params.p, params.q, params.r, params.m, params.n
+    (num1, den1), (num2, den2) = mac_terms(m, q, r), mac_terms(n - m, p - q - r, r)
+    return num1 + num2 + [q + r, p - q, n + r, n + p], den1 + den2 + [n + p - q, n + q + r, p, r]
 
 
 def two_mahonian_enumeration(a: int, b: int, c: int, alpha: int, beta: int, d: int) -> int:
@@ -97,12 +165,17 @@ def two_mahonian_enumeration(a: int, b: int, c: int, alpha: int, beta: int, d: i
         raise HypothesisError("need 0 < alpha < a and 0 < beta < b")
     if max(a, b, c, alpha + beta) > d or d > min(a + beta, alpha + b, a + c, b + c):
         raise HypothesisError("degree outside the admissible window")
-    h = hyperfactorial
+    return hyperfactorial_quotient(*two_mahonian_terms(a, b, c, alpha, beta, d))
+
+
+def two_mahonian_terms(a: int, b: int, c: int, alpha: int, beta: int, d: int) -> tuple[list[int], list[int]]:
+    """The hyperfactorial arguments of ``two_mahonian_enumeration``'s
+    numerator and denominator: with s = d - alpha - beta, Mac(a+beta-d, d-a,
+    s) Mac(alpha+b-d, d-b, s) H(d-a+s) H(d-b+s) H(d-c+s) H(d) over H(a) H(b)
+    H(c) H(s)."""
     s = d - (alpha + beta)
-    boxes = macmahon(a + beta - d, d - a, s) * macmahon(alpha + b - d, d - b, s)
-    num = h(d - a + s) * h(d - b + s) * h(d - c + s) * h(d)
-    den = h(a) * h(b) * h(c) * h(s)
-    return exact_quotient(boxes * num, den)
+    (num1, den1), (num2, den2) = mac_terms(a + beta - d, d - a, s), mac_terms(alpha + b - d, d - b, s)
+    return num1 + num2 + [d - a + s, d - b + s, d - c + s, d], den1 + den2 + [a, b, c, s]
 
 
 def type_one_odd_minor(a: int, b: int, c: int, i: int) -> int:

@@ -23,11 +23,17 @@ staircase's run ends in one sweep whose cell values pack every row's path
 count; no region, label or dense Z is built or eliminated.
 ``wlp_full_scan`` and ``bad_primes`` read every rank and leading divisor off
 those factors.  Degrees where one side of the region is empty need no
-branch: their ranks are 0 and their leading divisor is 1.  ``bad_primes`` is
-the one source of bad primes; the all-degree set of the ``divisors=True``
-scan (``--all-primes``) is its runtime check.  ``conjecture_scan`` reads the
-same factors: a prime lowers the rank of Z over GF(p) exactly when it
-divides the last one.
+branch: their ranks are 0 and their leading divisor is 1.
+
+One rule names the primes that lower a degree of full rank over Q:
+``_dropping_primes``, the primes of its last invariant factor s_r.  The
+rank over GF(p) counts the s_i that p does not divide, and s_i | s_r, so p
+divides some s_i exactly when it divides s_r.  ``bad_primes`` is the union
+of that set over its shortcut degrees and the one source of bad primes;
+the all-degree set of the ``divisors=True`` scan (``--all-primes``), which
+factorizes each degree's product of factors, is its runtime check.
+``conjecture_scan`` reads the same rule, so the primes it tests come from
+the data, never from a sieve up to its cap.
 
 Across the ideals of one conjecture scan, each isomorphism class is
 answered once and each region shape is reduced once.  Two invariances make
@@ -38,12 +44,12 @@ rows and columns of Z without changing its invariant factors or the
 required rank; nor does it change the verdict or a+b+c.  The sharing lives
 in dicts local to the call.  One maps the canonical form of all the
 generators to the (p, d) at which that class fails, so the enumeration's
-twins are classified and scanned once.  The other is keyed as
-``_region_key`` keys it, the canonical form of the truncation and then d,
-and holds the primes up to the cap dividing the shape's last invariant
-factor.  The scan walks each ideal's generators in degree order and forms
-that key once per truncation (at most one per generator), not once per
-degree; each shape is reduced by the uncached ``_shape_factors``.
+twins are classified and scanned once.  The other is keyed by the
+canonical form of the truncation below d (``_truncation_form``) and then
+d, and holds the shape's dropping primes up to the cap.  The scan walks
+each ideal's generators in degree order and forms that key once per
+truncation (at most one per generator), not once per degree; each shape is
+reduced by the uncached ``_shape_factors``.
 """
 
 from __future__ import annotations
@@ -143,6 +149,13 @@ def _prime_set(divisors: Iterable[int]) -> tuple[int, ...]:
     for divisor in divisors:
         found.update(factorize(divisor))
     return tuple(sorted(found))
+
+
+def _dropping_primes(factors: tuple[int, ...]) -> tuple[int, ...]:
+    """The ascending primes where a matrix of full rank over Q with
+    invariant factors s_1 | ... | s_r loses rank over GF(p): those dividing
+    s_r.  An empty matrix loses nothing."""
+    return tuple(sorted(factorize(factors[-1]))) if factors else ()
 
 
 def wlp_full_scan(
@@ -245,11 +258,13 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
     """The exact, finite set of characteristics where the property is lost.
 
     Only meaningful when the property holds in characteristic zero (raises
-    otherwise).  Computed as the prime divisors of the leading determinantal
-    divisors at the shortcut degrees.  Without a peak shortcut the property
-    fails in characteristic zero: with it, a socle element of least degree
-    k forces h(k) > h(k+1) and no rise of h after k, which places a plateau
-    or strict peak that ``peak_shortcut`` accepts.
+    otherwise).  Computed as the primes that lower the rank at the shortcut
+    degrees: those dividing each one's last invariant factor
+    (``_dropping_primes``), which are the prime divisors of its leading
+    determinantal divisor, the product of the factors.  Without a peak
+    shortcut the property fails in characteristic zero: with it, a socle
+    element of least degree k forces h(k) > h(k+1) and no rise of h after
+    k, which places a plateau or strict peak that ``peak_shortcut`` accepts.
     """
     shortcut = peak_shortcut(ideal)
     if shortcut is None and ideal.is_proper:  # the zero ring has no socle
@@ -257,7 +272,7 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
             "bad primes are undefined: the property already fails in "
             "characteristic zero (no peak shortcut applies)"
         )
-    divisors = []
+    found: set[int] = set()
     for d in shortcut.degrees if shortcut else ():
         n_up, n_down, factors = _degree_factors(ideal, d)
         if len(factors) < min(n_up, n_down):  # every required-size minor vanishes
@@ -265,8 +280,8 @@ def bad_primes(ideal: MonomialIdeal) -> tuple[int, ...]:
                 "bad primes are undefined: the property already fails in "
                 f"characteristic zero (degree {d})"
             )
-        divisors.append(math.prod(factors))
-    return _prime_set(divisors)
+        found.update(_dropping_primes(factors))
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +547,6 @@ class ConjectureCounterexample:
     degree: int
 
 
-def _primes_up_to(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1) if n >= 0 else bytearray()
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = 0
-    return out
-
-
 #: ``conjecture_scan`` refuses, before it builds any ideal, exponent caps
 #: whose enumeration holds more ideals than this (cap 8 holds 28,224).
 MAX_SCAN_IDEALS = 100_000
@@ -600,16 +604,6 @@ def enumerate_type2_ideals(max_exponent: int):
                             )
 
 
-def _rank_dropping_primes(factors: tuple[int, ...], primes: Iterable[int]) -> list[int]:
-    """The primes among ``primes``, in their order, where a matrix of full
-    rank over Q with invariant factors s_1 | ... | s_r loses rank over GF(p).
-
-    The rank over GF(p) counts the s_i that p does not divide, and p divides
-    some s_i exactly when it divides s_r.  An empty matrix loses nothing.
-    """
-    return [p for p in primes if factors and factors[-1] % p == 0]
-
-
 #: The six variable permutations, each as the getter of a permuted exponent triple.
 _AXIS_ORDERS = tuple(operator.itemgetter(*order) for order in itertools.permutations(range(3)))
 
@@ -624,40 +618,36 @@ def _truncation_form(below: tuple[Monomial, ...], forms: dict) -> tuple:
     return form
 
 
-def _region_key(ideal: MonomialIdeal, d: int, forms: dict) -> tuple:
-    """The key under which ``conjecture_scan`` shares the degree-d region:
-    the canonical form of the generators of degree below d, and d.  The
-    scan forms the same key one truncation at a time."""
-    return _truncation_form(tuple(g for g in ideal.gens if g.degree < d), forms), d
-
-
 def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounterexample]:
     """Search for a type-2 algebra with the property in characteristic zero
     that loses it at some prime p with 2p > a+b+c, up to the given caps.
 
-    It answers ``[]`` at once when no prime p <= ``prime_cap`` has 2p > 5,
-    the least a+b+c enumerated, and refuses by ``MAX_SCAN_IDEALS`` before it
-    builds any ideal.  An ideal whose a+b+c reaches twice the largest prime
-    is skipped before it is classified.
+    The primes tested are those <= ``prime_cap`` dividing each shape's last
+    invariant factor (``_dropping_primes``), so the work follows the data,
+    not the cap.  The cap is read once more, through q, the largest prime
+    <= min(prime_cap, 3N) for N = ``max_exponent``: a+b+c <= 3N, and by
+    Bertrand's postulate a prime in (3N/2, 3N] has 2p > a+b+c already.  It
+    answers ``[]`` at once when there is no such q >= 3 (2q > 5, the least
+    a+b+c enumerated), refuses by ``MAX_SCAN_IDEALS`` before it builds any
+    ideal, and skips an ideal with 2q <= a+b+c before classifying it.
 
     The enumeration's twins are answered once: each ideal is keyed by the
     canonical form of all its generators, and the first member of a class
     is classified and scanned, giving the (p, d) at which it fails; each
     later member reuses them.  Ideals that agree below a degree up to a
-    variable permutation share that degree's reduction: each
-    ``_region_key`` is reduced once per call, and the primes <= prime_cap
-    dividing its last invariant factor (``_rank_dropping_primes``) are
-    found once per shape; each ideal only keeps those with 2p > a+b+c.  The
-    truncation below d changes only past a generator's degree, and the
-    generators come in descending degree, so the truncation is a suffix of
-    them: walking d up, its form is looked up once per truncation, not once
-    per degree.  The factors also re-check the characteristic-zero verdict
-    that admitted each ideal: a degree of short rank over Q raises
-    ``InternalCheckError``.  An empty list supports the conjecture that no
-    such algebra exists.
+    variable permutation share that degree's reduction: each shape is
+    reduced once per call and its dropping primes <= prime_cap are found
+    once; each ideal only keeps those with 2p > a+b+c.  The truncation below
+    d changes only past a generator's degree, and the generators come in
+    descending degree, so the truncation is a suffix of them: walking d up,
+    its form is looked up once per truncation, not once per degree.  The
+    factors also re-check the characteristic-zero verdict that admitted
+    each ideal: a degree of short rank over Q raises ``InternalCheckError``.
+    An empty list supports the conjecture that no such algebra exists.
     """
-    primes = _primes_up_to(prime_cap)
-    if not primes or 2 * primes[-1] <= 5:
+    top = min(prime_cap, 3 * max_exponent)
+    q = next((n for n in range(top, 2, -1) if is_probable_prime(n)), None)
+    if q is None:
         return []
     count = _type2_ideal_count(max_exponent)
     if count > MAX_SCAN_IDEALS:
@@ -667,24 +657,26 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
         )
     counterexamples = []
     forms: dict = {}
-    shared: dict = {}  # truncation form -> d -> the primes <= prime_cap dividing s_r
+    shared: dict = {}  # truncation form -> d -> the dropping primes <= prime_cap
     classes: dict = {}  # canonical form -> the (p, d) at which the class fails
     for ideal in enumerate_type2_ideals(max_exponent):
         s = sum(ideal.pure_powers)
-        if 2 * primes[-1] <= s:
+        if 2 * q <= s:
             continue
         form = _truncation_form(ideal.gens, forms)
         failures = classes.get(form)
         if failures is None:
-            failures = classes[form] = _class_failures(ideal, s, primes, forms, shared)
+            failures = classes[form] = _class_failures(ideal, s, prime_cap, forms, shared)
         counterexamples.extend(ConjectureCounterexample(ideal, p, d) for p, d in failures)
     return counterexamples
 
 
-def _class_failures(ideal: MonomialIdeal, s: int, primes: list[int], forms: dict, shared: dict) -> tuple:
+def _class_failures(ideal: MonomialIdeal, s: int, prime_cap: int, forms: dict, shared: dict) -> tuple:
     """The (p, d), in scan order, at which a type-2 ideal with a+b+c = s
-    loses the property at a prime p with 2p > s: none unless it has the
-    property in characteristic zero."""
+    loses the property at a prime p <= prime_cap with 2p > s: none unless it
+    has the property in characteristic zero.  Each new shape's dropping
+    primes are read off its last invariant factor after its rank over Q is
+    checked against the verdict."""
     if not type2_char0_verdict(ideal)[0]:
         return ()
     failures = []
@@ -705,7 +697,7 @@ def _class_failures(ideal: MonomialIdeal, s: int, primes: list[int], forms: dict
                     f"type-2 verdict says ({ideal}) has the property, but degree {d} "
                     f"has rank {len(factors)} < {required} over Q"
                 )
-            dropping = shapes[d] = _rank_dropping_primes(factors, primes)
+            dropping = shapes[d] = [p for p in _dropping_primes(factors) if p <= prime_cap]
         failures.extend((p, d) for p in dropping if 2 * p > s)
     return tuple(failures)
 

@@ -16,7 +16,12 @@ versions, kept here as written before they were rewritten for speed:
 and ``socle_profile_oracle`` (which reads ``staircase_oracle`` and these
 pure powers instead of the package's).  ``per_ideal_conjecture_scan`` is
 the conjecture scan as written before it answered each isomorphism class
-once: it classifies and scans every enumerated ideal, twins included.
+once: it classifies and scans every enumerated ideal, twins included;
+``region_key`` is the key the scan shares a region shape under, one degree
+at a time.  ``split_binom_det_product`` and ``two_mahonian_product`` are
+the block-binomial and two-Mahonian closed forms as products of box counts
+and hyperfactorials, as written before they were evaluated from prime
+valuations.
 """
 
 from __future__ import annotations
@@ -34,16 +39,19 @@ from lefschetz_lab import (
     IntMatrix,
     Monomial,
     MonomialIdeal,
+    SplitBinomParams,
     TriangularRegion,
+    hyperfactorial,
+    macmahon,
     monomials_of_degree,
     standard_monomials,
 )
+from lefschetz_lab.intlinalg import exact_quotient
 from lefschetz_lab.errors import NotArtinianError
 from lefschetz_lab import wlp
 from lefschetz_lab.ideals import VARIABLES, SocleProfile, _Staircase
 from lefschetz_lab.wlp import (
     ConjectureCounterexample,
-    _primes_up_to,
     _scan_range,
     _shape_factors,
     _truncation_form,
@@ -398,12 +406,24 @@ def has_floating_group(region: TriangularRegion) -> bool:
     return len(reached) < len(links)
 
 
+#: Every prime up to 31, for the prime caps the conjecture-scan tests use.
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def region_key(ideal: MonomialIdeal, d: int, forms: dict) -> tuple:
+    """The key under which ``wlp.conjecture_scan`` shares the degree-d
+    region: the canonical form of the generators of degree below d, and d.
+    The scan forms the same key one truncation at a time."""
+    return _truncation_form(tuple(g for g in ideal.gens if g.degree < d), forms), d
+
+
 def per_ideal_conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounterexample]:
     """The conjecture scan that classifies and scans each enumerated ideal,
     sharing only the reduction of each region shape.  It looks
-    ``wlp._rank_dropping_primes`` up at call time, so a test can patch it."""
+    ``wlp._dropping_primes`` up at call time, so a test can patch it, and
+    reads the candidate primes off ``PRIMES_TO_31``."""
+    assert prime_cap <= PRIMES_TO_31[-1]
     counterexamples = []
-    primes = _primes_up_to(prime_cap)
     forms: dict = {}
     shared: dict = {}  # truncation form -> d -> the degree-d factors
     for ideal in enumerate_type2_ideals(max_exponent):
@@ -411,8 +431,7 @@ def per_ideal_conjecture_scan(max_exponent: int, prime_cap: int) -> list[Conject
         if not holds:
             continue
         s = sum(ideal.pure_powers)
-        candidates = [p for p in primes if 2 * p > s]
-        if not candidates:
+        if not any(p <= prime_cap and 2 * p > s for p in PRIMES_TO_31):
             continue
         gens = ideal.gens
         cut, shapes = len(gens), None  # gens[cut:] have degree below d
@@ -432,6 +451,29 @@ def per_ideal_conjecture_scan(max_exponent: int, prime_cap: int) -> list[Conject
                     f"type-2 verdict says ({ideal}) has the property, but degree {d} "
                     f"has rank {len(factors)} < {required} over Q"
                 )
-            for p in wlp._rank_dropping_primes(factors, candidates):
-                counterexamples.append(ConjectureCounterexample(ideal, p, d))
+            for p in wlp._dropping_primes(factors):
+                if p <= prime_cap and 2 * p > s:
+                    counterexamples.append(ConjectureCounterexample(ideal, p, d))
     return counterexamples
+
+
+def split_binom_det_product(params: SplitBinomParams) -> int:
+    """``formulas.split_binom_det`` as the product of two box counts and a
+    hyperfactorial quotient, built exactly."""
+    p, q, r, m, n = params.p, params.q, params.r, params.m, params.n
+    h = hyperfactorial
+    num = macmahon(m, q, r) * macmahon(n - m, p - q - r, r)
+    num *= h(q + r) * h(p - q) * h(n + r) * h(n + p)
+    den = h(n + p - q) * h(n + q + r) * h(p) * h(r)
+    return exact_quotient(num, den)
+
+
+def two_mahonian_product(a: int, b: int, c: int, alpha: int, beta: int, d: int) -> int:
+    """``formulas.two_mahonian_enumeration`` as the product of two box counts
+    and a hyperfactorial quotient, built exactly."""
+    h = hyperfactorial
+    s = d - (alpha + beta)
+    boxes = macmahon(a + beta - d, d - a, s) * macmahon(alpha + b - d, d - b, s)
+    num = h(d - a + s) * h(d - b + s) * h(d - c + s) * h(d)
+    den = h(a) * h(b) * h(c) * h(s)
+    return exact_quotient(boxes * num, den)

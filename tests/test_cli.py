@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,23 @@ def test_scan_answers_or_refuses_before_it_enumerates(monkeypatch):
     assert code == 0 and json.loads(out)["counterexamples"] == []
     code, out, err = run_cli(["scan", "--max-exponent", "30", "--prime-cap", "31"])
     assert code == 1 and out == "" and "MAX_SCAN_IDEALS" in err
+
+
+@pytest.mark.parametrize("max_exponent", ["2", "3"])
+def test_scan_reads_its_primes_off_the_data_not_the_cap(max_exponent):
+    # the primes come from each shape's last invariant factor, so a cap of
+    # 10^10 answers as fast as 13 and lists the same counterexamples
+    def scan(cap):
+        start = time.perf_counter()
+        code, out, err = run_cli(["scan", "--max-exponent", max_exponent, "--prime-cap", cap, "--json"])
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - start < 1.0
+        return json.loads(out)["counterexamples"]
+
+    found = scan("10000000000")
+    assert found == scan("13")
+    if max_exponent == "2":
+        assert found == []
 
 
 def test_count_answers_a_huge_floating_region_before_enumerating(monkeypatch):
@@ -140,6 +158,8 @@ def test_count_and_region_answer_a_long_thin_strip():
         (["formula", "mac", "150", "150", "150", "--json"], "sys.get_int_max_str_digits()"),
         (["formula", "hyper", "3000"], "sys.get_int_max_str_digits()"),
         (["formula", "hyper", "1000000000"], "sys.get_int_max_str_digits()"),
+        # a small value whose hyperfactorial arguments are too large to tabulate
+        (["formula", "splitdet", "10000000", "1", "1", "1", "1"], "MAX_HYPERFACTORIAL_ARGUMENT"),
     ],
 )
 def test_oversized_inputs_are_refused_by_name(argv, limit, monkeypatch, tmp_path):
@@ -171,6 +191,20 @@ def test_formula_estimates_and_answers_large_arguments_at_once():
         assert cli._log_hyperfactorial(n) == pytest.approx(lgamma_sum(n), rel=1e-14, abs=1e-6)
     code, out, err = run_cli(["formula", "mac", "20000", "1", "1"])
     assert (code, out, err) == (0, "Mac(20000,1,1) = 20001 = 3 * 59 * 113\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["splitdet", "3000", "1", "1", "1", "1"], "splitdet(p=3000,q=1,r=1,m=1,n=1) = 3000 = 2^3 * 3 * 5^3\n"),
+        (["twomahonian", "3000", "2", "3001", "2999", "1", "3001"], "twomahonian(a=3000,b=2,c=3001,alpha=2999,beta=1,d=3001) = 1\n"),
+    ],
+)
+def test_formula_answers_a_small_value_of_large_arguments_at_once(argv, expected):
+    # the value comes from prime valuations, not from the hyperfactorials
+    start = time.perf_counter()
+    assert run_cli(["formula", *argv]) == (0, expected, "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oversized_wlp_is_refused_before_any_reduction(monkeypatch):

@@ -5,8 +5,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz_lab import (
+    ExactnessError,
     HypothesisError,
     SplitBinomParams,
     biadjacency,
@@ -21,7 +24,8 @@ from lefschetz_lab import (
     two_mahonian_enumeration,
     type_one_odd_minor,
 )
-from _oracles import plane_partition_oracle
+from lefschetz_lab.formulas import MAX_HYPERFACTORIAL_ARGUMENT, hyperfactorial_quotient, mac_terms
+from _oracles import plane_partition_oracle, split_binom_det_product, two_mahonian_product
 from _paper import ci_enumeration, ci_nest_enumeration, split_binom_matrix, type_one_odd_minor_simplified
 
 
@@ -85,6 +89,45 @@ def test_split_binom_det_small_sweep():
                     for m in range(1, n + 1):
                         params = SplitBinomParams(p, q, r, m, n)
                         assert split_binom_det(params) == determinant(split_binom_matrix(params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.lists(st.integers(0, 30), max_size=6), den=st.lists(st.integers(0, 30), max_size=6))
+def test_hyperfactorial_quotient_is_the_exact_quotient(num, den):
+    value = Fraction(math.prod(map(hyperfactorial, num)), math.prod(map(hyperfactorial, den)))
+    if value.denominator == 1:
+        assert hyperfactorial_quotient(num, den) == value
+    else:
+        with pytest.raises(ExactnessError):
+            hyperfactorial_quotient(num, den)
+
+
+def test_hyperfactorial_quotient_refuses_before_it_allocates():
+    assert hyperfactorial_quotient(*mac_terms(3, 3, 3)) == macmahon(3, 3, 3) == 980
+    assert hyperfactorial_quotient([MAX_HYPERFACTORIAL_ARGUMENT], [MAX_HYPERFACTORIAL_ARGUMENT]) == 1
+    with pytest.raises(ValueError, match="MAX_HYPERFACTORIAL_ARGUMENT"):
+        hyperfactorial_quotient([10**18], [10**18])
+    with pytest.raises(ValueError, match="negative"):
+        hyperfactorial_quotient([3], [-1])
+
+
+def test_split_binom_and_two_mahonian_match_their_product_formulas():
+    found = 0
+    for p, q, r in itertools.product(range(9), repeat=3):
+        if q + r <= p:
+            for n in range(1, 7):
+                for m in range(1, n + 1):
+                    params = SplitBinomParams(p, q, r, m, n)
+                    assert split_binom_det(params) == split_binom_det_product(params), params
+                    found += 1
+    for a, b, c in itertools.product(range(2, 10), repeat=3):
+        for alpha, beta in itertools.product(range(1, a), range(1, b)):
+            d, rest = divmod(a + b + c + alpha + beta, 3)
+            if rest == 0 and max(a, b, c, alpha + beta) <= d <= min(a + beta, alpha + b, a + c, b + c):
+                args = (a, b, c, alpha, beta, d)
+                assert two_mahonian_enumeration(*args) == two_mahonian_product(*args), args
+                found += 1
+    assert found > 2000
 
 
 def test_split_binom_rejects_bad_parameters():

@@ -34,9 +34,7 @@ from lefschetz_lab.intlinalg import biadjacency, smith_invariant_factors
 from lefschetz_lab.wlp import (
     MAX_SCAN_IDEALS,
     _degree_factors,
-    _primes_up_to,
-    _rank_dropping_primes,
-    _region_key,
+    _dropping_primes,
     _scan_range,
     _shape_factors,
     _truncation_form,
@@ -44,12 +42,14 @@ from lefschetz_lab.wlp import (
     enumerate_type2_ideals,
 )
 from _oracles import (
+    PRIMES_TO_31,
     fraction_rank,
     multiplication_matrix,
     per_ideal_conjecture_scan,
     plain_rank_mod,
     random_artinian_ideal,
     random_low_socle_ideal,
+    region_key,
 )
 
 EXA = "x^4,y^4,z^4,x^2z^2"
@@ -373,12 +373,10 @@ def test_conjecture_scan_small():
     assert conjecture_scan(3, 13) == []
 
 
-PRIMES_TO_31 = _primes_up_to(31)
-
-
 def _dropping_primes_agree_with_modular_ranks(ideal) -> int:
     """Compare the primes read off each scanned degree's last invariant
-    factor with a rank mod p of the dense Z at every prime up to 31; count
+    factor with a rank mod p of the dense Z at every prime up to 31, and
+    check that each of them, those above 31 included, drops that rank; count
     the degrees of full rank over Q where some prime drops the rank."""
     dropped = 0
     for d in _scan_range(ideal):
@@ -388,9 +386,11 @@ def _dropping_primes_agree_with_modular_ranks(ideal) -> int:
         assert (z.cols, z.rows) == (n_up, n_down)
         expected = [p for p in PRIMES_TO_31 if plain_rank_mod(z, p) < required]
         if len(factors) < required:  # short over Q: short at every prime
-            assert expected == PRIMES_TO_31, (str(ideal), d)
+            assert expected == list(PRIMES_TO_31), (str(ideal), d)
             continue
-        assert _rank_dropping_primes(factors, PRIMES_TO_31) == expected, (str(ideal), d)
+        dropping = _dropping_primes(factors)
+        assert [p for p in dropping if p <= PRIMES_TO_31[-1]] == expected, (str(ideal), d)
+        assert all(plain_rank_mod(z, p) < required for p in dropping), (str(ideal), d)
         dropped += bool(expected)
     return dropped
 
@@ -402,7 +402,7 @@ def test_rank_certificate_matches_modular_ranks_on_the_type2_grid():
     # the worked example has bad prime 2, which drops the rank at degree 5
     n_up, n_down, factors = _degree_factors(parse_ideal(EXA), 5)
     assert len(factors) == min(n_up, n_down)
-    assert _rank_dropping_primes(factors, (2, 3)) == [2]
+    assert _dropping_primes(factors) == (2,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,7 +415,7 @@ def _admitted_degrees(max_exponent: int, prime_cap: int) -> list:
     """Every (ideal, d) the conjecture scan reads, in its order: the scanned
     degrees of each ideal with the property in characteristic zero and some
     prime p <= prime_cap with 2p > a+b+c."""
-    primes = _primes_up_to(prime_cap)
+    primes = [p for p in PRIMES_TO_31 if p <= prime_cap]
     return [
         (ideal, d)
         for ideal in enumerate_type2_ideals(max_exponent)
@@ -462,7 +462,7 @@ def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch)
 
     def spy(ideal, d):
         found = _shape_factors(ideal, d)
-        recorded[_region_key(ideal, d, forms)] = found[2]
+        recorded[region_key(ideal, d, forms)] = found[2]
         return found
 
     monkeypatch.setattr(wlp, "_shape_factors", spy)
@@ -471,7 +471,7 @@ def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch)
     assert len(admitted) == 2474
     for ideal, d in admitted:
         dense = smith_invariant_factors(biadjacency(build_region(ideal, d)))
-        assert recorded[_region_key(ideal, d, forms)] == dense, (str(ideal), d)
+        assert recorded[region_key(ideal, d, forms)] == dense, (str(ideal), d)
 
 
 @pytest.mark.parametrize("caps", [(3, 13), (4, 7), (4, 31)])
@@ -480,7 +480,7 @@ def test_conjecture_scan_equals_a_per_ideal_scan(monkeypatch, caps):
     # of each pair of twins; answering each class once must not change them
     from lefschetz_lab import wlp
 
-    monkeypatch.setattr(wlp, "_rank_dropping_primes", lambda factors, primes: list(primes))
+    monkeypatch.setattr(wlp, "_dropping_primes", lambda factors: PRIMES_TO_31)
     expected = per_ideal_conjecture_scan(*caps)
     classified = []
     monkeypatch.setattr(wlp, "type2_char0_verdict", lambda ideal: classified.append(ideal) or type2_char0_verdict(ideal))
@@ -519,7 +519,7 @@ def test_region_factors_survive_truncation_and_permutation(seed, extra):
     # the two invariances the conjecture scan's sharing rests on, and its
     # key's agreement with them
     ideal = random_artinian_ideal(random.Random(seed), 6, extra)
-    keys = {d: _region_key(ideal, d, {}) for d in _scan_range(ideal)}
+    keys = {d: region_key(ideal, d, {}) for d in _scan_range(ideal)}
     assert len(set(keys.values())) == len(keys)
     for d, key in keys.items():
         region = build_region(ideal, d)
@@ -529,7 +529,7 @@ def test_region_factors_survive_truncation_and_permutation(seed, extra):
             twin = build_region(other, d)
             assert (len(twin.up), len(twin.down)) == (len(region.up), len(region.down)), (str(ideal), str(other), d)
             assert smith_invariant_factors(biadjacency(twin)) == factors, (str(ideal), str(other), d)
-            assert _region_key(other, d, {}) == key, (str(ideal), str(other), d)
+            assert region_key(other, d, {}) == key, (str(ideal), str(other), d)
 
 
 def test_conjecture_scan_cross_checks_the_char0_verdict(monkeypatch):
