@@ -35,21 +35,18 @@ factorizes each degree's product of factors, is its runtime check.
 ``conjecture_scan`` reads the same rule, so the primes it tests come from
 the data, never from a sieve up to its cap.
 
-Across the ideals of one conjecture scan, each isomorphism class is
-answered once and each region shape is reduced once.  Two invariances make
-that exact: the degree-d region depends only on the generators of degree
-below d (each cuts a puncture of side d - deg g), and a variable
-permutation maps the region of I onto that of its image, reordering the
-rows and columns of Z without changing its invariant factors or the
-required rank; nor does it change the verdict or a+b+c.  The sharing lives
-in dicts local to the call.  One maps the canonical form of all the
-generators to the (p, d) at which that class fails, so the enumeration's
-twins are classified and scanned once.  The other is keyed by the
-canonical form of the truncation below d (``_truncation_form``) and then
-d, and holds the shape's dropping primes up to the cap.  The scan walks
-each ideal's generators in degree order and forms that key once per
-truncation (at most one per generator), not once per degree; each shape is
-reduced by the uncached ``_shape_factors``.
+A conjecture scan answers each isomorphism class once, from the normal
+form it enumerated: ``_twin_key`` names the class and
+``type2_condition_range`` judges it, with no permutation search.  An
+admitted class is read at its peak-shortcut degrees, and at every degree
+only when a reportable prime drops one.  Each region shape is reduced once,
+by the uncached ``_shape_factors``, into a dict local to the call keyed by
+the canonical form of the truncation below d (``_truncation_form``) and
+then d.  Two invariances make that exact: the degree-d region depends
+only on the generators of degree below d (each cuts a puncture of side
+d - deg g), and a variable permutation maps the region of I onto that of
+its image, reordering the rows and columns of Z without changing its
+invariant factors or the required rank.
 """
 
 from __future__ import annotations
@@ -70,6 +67,7 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     Permutation,
+    SocleProfile,
     hilbert_function,
     socle_profile,
 )
@@ -392,6 +390,23 @@ def _match_normal_form(ideal: MonomialIdeal) -> tuple[int, int, int, int, int, i
     return None
 
 
+def _type2_form(
+    permutation: Permutation, form: int, a: int, b: int, c: int, alpha: int, beta: int, gamma: int | None
+) -> Type2Form:
+    """The normal form with these exponents, reached by the permutation, and
+    its socle degrees by the normal-form formula: a+beta+c-3 (form 1) or
+    a+beta+gamma-3 (form 2), and alpha+b+c-3; it is level when they agree."""
+    degrees = (a + beta + (c if form == 1 else gamma) - 3, alpha + b + c - 3)
+    return Type2Form(form, a, b, c, alpha, beta, gamma, permutation, degrees, degrees[0] == degrees[1])
+
+
+def _check_socle(form: Type2Form, sp: SocleProfile) -> Type2Form:
+    """The form, once the brute-force socle scan confirms type 2 at its socle degrees."""
+    if tuple(sorted(form.socle_degrees)) != sp.degrees:
+        raise InternalCheckError(f"normal-form socle degrees {form.socle_degrees} disagree with the scan {sp.degrees}")
+    return form
+
+
 def classify_type2(ideal: MonomialIdeal) -> Type2Form:
     """Find the variable permutation putting a type-2 ideal into one of the
     two normal forms; ties break to the lexicographically least permutation.
@@ -404,29 +419,8 @@ def classify_type2(ideal: MonomialIdeal) -> Type2Form:
         raise NotTypeTwoError(f"R/({ideal}) has type {sp.type_}, not 2")
     for sigma in ALL_PERMUTATIONS:
         match = _match_normal_form(ideal.permuted(sigma))
-        if match is None:
-            continue
-        form, a, b, c, alpha, beta, gamma = match
-        if form == 1:
-            degrees = (a + beta + c - 3, alpha + b + c - 3)
-        else:
-            degrees = (a + beta + gamma - 3, alpha + b + c - 3)
-        if tuple(sorted(degrees)) != sp.degrees:
-            raise InternalCheckError(
-                f"normal-form socle degrees {degrees} disagree with the scan {sp.degrees}"
-            )
-        return Type2Form(
-            form=form,
-            a=a,
-            b=b,
-            c=c,
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            permutation=sigma,
-            socle_degrees=degrees,
-            is_level=sp.is_level,
-        )
+        if match is not None:
+            return _check_socle(_type2_form(sigma, *match), sp)
     raise InternalCheckError(f"type-2 ideal ({ideal}) matched no normal form")
 
 
@@ -547,13 +541,13 @@ class ConjectureCounterexample:
     degree: int
 
 
-#: ``conjecture_scan`` refuses, before it builds any ideal, exponent caps
-#: whose enumeration holds more ideals than this (cap 8 holds 28,224).
-MAX_SCAN_IDEALS = 100_000
+#: ``conjecture_scan`` refuses, before it builds anything, exponent caps
+#: whose enumeration holds more normal forms than this (cap 11 holds 199,650).
+MAX_SCAN_IDEALS = 200_000
 
 
 def _type2_ideal_count(max_exponent: int) -> int:
-    """How many ideals ``enumerate_type2_ideals`` yields: with n = e(e-1)/2
+    """How many forms ``enumerate_type2_forms`` yields: with n = e(e-1)/2
     choices of (a, alpha), and as many of (b, beta) and of (c, gamma),
     form (i) has e * n^2 and form (ii) n^3."""
     e = max_exponent
@@ -561,47 +555,38 @@ def _type2_ideal_count(max_exponent: int) -> int:
     return e * n * n + n**3
 
 
-def enumerate_type2_ideals(max_exponent: int):
-    """All type-2 ideals in normal form with every exponent at most the cap.
+def enumerate_type2_forms(max_exponent: int):
+    """All type-2 normal forms with every exponent at most the cap, with the
+    identity permutation; ``normalized_ideal`` builds each ideal.  Verdicts
+    and rank data are invariant under variable permutations, so only normal
+    forms are enumerated, but twins remain: both members of each x <-> y
+    pair of form (i) and of each y <-> z pair of form (ii), so the 360 forms
+    at cap 4 fall in 210 classes (``_twin_key``; 28,224 in 14,616 at cap
+    8).  ``_type2_ideal_count`` counts the forms."""
+    e, identity = max_exponent, ALL_PERMUTATIONS[0]
+    for a, b in itertools.product(range(2, e + 1), repeat=2):
+        for alpha, beta, c in itertools.product(range(1, a), range(1, b), range(1, e + 1)):
+            yield _type2_form(identity, 1, a, b, c, alpha, beta, None)
+    for a, b, c in itertools.product(range(2, e + 1), repeat=3):
+        for alpha, beta, gamma in itertools.product(range(1, a), range(1, b), range(1, c)):
+            yield _type2_form(identity, 2, a, b, c, alpha, beta, gamma)
 
-    Verdicts and rank data are invariant under variable permutations, so
-    only normal forms are enumerated.  They are not one per isomorphism
-    class: form (i) yields both x^a, y^b, z^c, x^alpha y^beta and its image
-    under x <-> y, and form (ii) both members of each y <-> z pair, so the
-    360 ideals at cap 4 fall in 210 classes (28,224 in 14,616 at cap 8).
-    ``conjecture_scan`` answers each class once, keyed by the canonical
-    form of its generators; ``_type2_ideal_count`` counts the ideals
-    yielded.
+
+def _twin_key(form: Type2Form) -> tuple:
+    """The isomorphism class of a normal form: (1, min and max of (a, alpha)
+    and (b, beta), c) for form (i), (2, a, alpha, min and max of (b, beta)
+    and (c, gamma)) for form (ii).  A variable permutation between normal
+    forms maps minimal generators to minimal generators, so it keeps the
+    pattern of the mixed ones: it fixes z, which form (i)'s one mixed
+    generator lacks, and x, which form (ii)'s two share.  That leaves the
+    identity and x <-> y, swapping (a, alpha) with (b, beta), or y <-> z,
+    swapping (b, beta) with (c, gamma); the forms differ in generator count.
     """
-    e = max_exponent
-    for a in range(2, e + 1):
-        for b in range(2, e + 1):
-            for alpha in range(1, a):
-                for beta in range(1, b):
-                    for c in range(1, e + 1):
-                        yield MonomialIdeal(
-                            (
-                                Monomial(a, 0, 0),
-                                Monomial(0, b, 0),
-                                Monomial(0, 0, c),
-                                Monomial(alpha, beta, 0),
-                            )
-                        )
-    for a in range(2, e + 1):
-        for b in range(2, e + 1):
-            for c in range(2, e + 1):
-                for alpha in range(1, a):
-                    for beta in range(1, b):
-                        for gamma in range(1, c):
-                            yield MonomialIdeal(
-                                (
-                                    Monomial(a, 0, 0),
-                                    Monomial(0, b, 0),
-                                    Monomial(0, 0, c),
-                                    Monomial(alpha, beta, 0),
-                                    Monomial(alpha, 0, gamma),
-                                )
-                            )
+    if form.form == 1:
+        pairs = (form.a, form.alpha), (form.b, form.beta)
+        return (1, min(pairs), max(pairs), form.c)
+    pairs = (form.b, form.beta), (form.c, form.gamma)
+    return (2, form.a, form.alpha, min(pairs), max(pairs))
 
 
 #: The six variable permutations, each as the getter of a permuted exponent triple.
@@ -628,22 +613,13 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
     <= min(prime_cap, 3N) for N = ``max_exponent``: a+b+c <= 3N, and by
     Bertrand's postulate a prime in (3N/2, 3N] has 2p > a+b+c already.  It
     answers ``[]`` at once when there is no such q >= 3 (2q > 5, the least
-    a+b+c enumerated), refuses by ``MAX_SCAN_IDEALS`` before it builds any
-    ideal, and skips an ideal with 2q <= a+b+c before classifying it.
+    a+b+c enumerated), refuses by ``MAX_SCAN_IDEALS`` before it builds
+    anything, and skips a form with 2q <= a+b+c before building its ideal.
 
-    The enumeration's twins are answered once: each ideal is keyed by the
-    canonical form of all its generators, and the first member of a class
-    is classified and scanned, giving the (p, d) at which it fails; each
-    later member reuses them.  Ideals that agree below a degree up to a
-    variable permutation share that degree's reduction: each shape is
-    reduced once per call and its dropping primes <= prime_cap are found
-    once; each ideal only keeps those with 2p > a+b+c.  The truncation below
-    d changes only past a generator's degree, and the generators come in
-    descending degree, so the truncation is a suffix of them: walking d up,
-    its form is looked up once per truncation, not once per degree.  The
-    factors also re-check the characteristic-zero verdict that admitted
-    each ideal: a degree of short rank over Q raises ``InternalCheckError``.
-    An empty list supports the conjecture that no such algebra exists.
+    ``_class_failures`` answers each class (``_twin_key``) on its first
+    form; the twins reuse its (p, d).  An ideal is built only for that form
+    and for each counterexample.  An empty list supports the conjecture
+    that no such algebra exists.
     """
     top = min(prime_cap, 3 * max_exponent)
     q = next((n for n in range(top, 2, -1) if is_probable_prime(n)), None)
@@ -658,31 +634,55 @@ def conjecture_scan(max_exponent: int, prime_cap: int) -> list[ConjectureCounter
     counterexamples = []
     forms: dict = {}
     shared: dict = {}  # truncation form -> d -> the dropping primes <= prime_cap
-    classes: dict = {}  # canonical form -> the (p, d) at which the class fails
-    for ideal in enumerate_type2_ideals(max_exponent):
-        s = sum(ideal.pure_powers)
+    classes: dict = {}  # twin key -> the (p, d) at which the class fails
+    for form in enumerate_type2_forms(max_exponent):
+        s = form.a + form.b + form.c
         if 2 * q <= s:
             continue
-        form = _truncation_form(ideal.gens, forms)
-        failures = classes.get(form)
+        key = _twin_key(form)
+        failures = classes.get(key)
         if failures is None:
-            failures = classes[form] = _class_failures(ideal, s, prime_cap, forms, shared)
-        counterexamples.extend(ConjectureCounterexample(ideal, p, d) for p, d in failures)
+            failures = classes[key] = _class_failures(form, s, prime_cap, forms, shared)
+        if failures:
+            ideal = form.normalized_ideal
+            counterexamples.extend(ConjectureCounterexample(ideal, p, d) for p, d in failures)
     return counterexamples
 
 
-def _class_failures(ideal: MonomialIdeal, s: int, prime_cap: int, forms: dict, shared: dict) -> tuple:
-    """The (p, d), in scan order, at which a type-2 ideal with a+b+c = s
-    loses the property at a prime p <= prime_cap with 2p > s: none unless it
-    has the property in characteristic zero.  Each new shape's dropping
-    primes are read off its last invariant factor after its rank over Q is
-    checked against the verdict."""
-    if not type2_char0_verdict(ideal)[0]:
+def _class_failures(form: Type2Form, s: int, prime_cap: int, forms: dict, shared: dict) -> tuple:
+    """The (p, d), in scan order, at which a type-2 normal form with a+b+c = s
+    loses the property at a prime p <= prime_cap with 2p > s: none unless its
+    own window (``type2_condition_range``) admits it, once the socle scan of
+    its ideal confirms type 2 at the form's socle degrees.  An admitted class
+    has a peak shortcut (see ``bad_primes``) and is read at its shortcut
+    degrees first.  The shortcut theorems hold in every characteristic, so a
+    prime that drops some degree drops a shortcut degree too; only when one
+    does is every degree read, for the full list."""
+    ideal = form.normalized_ideal
+    _check_socle(form, socle_profile(ideal))
+    if type2_condition_range(form):
         return ()
+    shortcut = peak_shortcut(ideal)
+    if shortcut is None:
+        raise InternalCheckError(f"type-2 verdict says ({ideal}) has the property, but it has no peak shortcut")
+    failures = _shape_failures(ideal, shortcut.degrees, s, prime_cap, forms, shared)
+    if failures:
+        failures = _shape_failures(ideal, _scan_range(ideal), s, prime_cap, forms, shared)
+    return tuple(failures)
+
+
+def _shape_failures(
+    ideal: MonomialIdeal, degrees: Iterable[int], s: int, prime_cap: int, forms: dict, shared: dict
+) -> list:
+    """The (p, d) with 2p > s at the given ascending degrees of an admitted
+    ideal.  Each shape new to ``shared`` has its rank over Q checked against
+    the verdict, and its dropping primes <= prime_cap stored.  The
+    generators come in descending degree, so the truncation below d is a
+    suffix of them, and its form is looked up once per truncation."""
     failures = []
     gens = ideal.gens
     cut, shapes = len(gens), None  # gens[cut:] have degree below d
-    for d in _scan_range(ideal):
+    for d in degrees:
         last = cut
         while cut and gens[cut - 1].degree < d:
             cut -= 1
@@ -699,7 +699,7 @@ def _class_failures(ideal: MonomialIdeal, s: int, prime_cap: int, forms: dict, s
                 )
             dropping = shapes[d] = [p for p in _dropping_primes(factors) if p <= prime_cap]
         failures.extend((p, d) for p in dropping if 2 * p > s)
-    return tuple(failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------

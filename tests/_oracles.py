@@ -16,7 +16,8 @@ versions, kept here as written before they were rewritten for speed:
 and ``socle_profile_oracle`` (which reads ``staircase_oracle`` and these
 pure powers instead of the package's).  ``per_ideal_conjecture_scan`` is
 the conjecture scan as written before it answered each isomorphism class
-once: it classifies and scans every enumerated ideal, twins included;
+once: it classifies (by permutation search) and scans at every degree each
+enumerated ideal, twins included, checking each degree's rank over Q;
 ``region_key`` is the key the scan shares a region shape under, one degree
 at a time.  ``split_binom_det_product`` and ``two_mahonian_product`` are
 the block-binomial and two-Mahonian closed forms as products of box counts
@@ -55,7 +56,7 @@ from lefschetz_lab.wlp import (
     _scan_range,
     _shape_factors,
     _truncation_form,
-    enumerate_type2_ideals,
+    enumerate_type2_forms,
     type2_char0_verdict,
 )
 
@@ -426,7 +427,8 @@ def per_ideal_conjecture_scan(max_exponent: int, prime_cap: int) -> list[Conject
     counterexamples = []
     forms: dict = {}
     shared: dict = {}  # truncation form -> d -> the degree-d factors
-    for ideal in enumerate_type2_ideals(max_exponent):
+    for form in enumerate_type2_forms(max_exponent):
+        ideal = form.normalized_ideal
         holds, _ = type2_char0_verdict(ideal)
         if not holds:
             continue

@@ -44,7 +44,7 @@ from lefschetz_lab import (
     wlp_full_scan,
 )
 from lefschetz_lab.ideals import ALL_PERMUTATIONS
-from lefschetz_lab.wlp import enumerate_type2_ideals
+from lefschetz_lab.wlp import enumerate_type2_forms
 from _oracles import multiplication_matrix, plane_partition_oracle, random_artinian_ideal
 from _paper import (
     is_empty,
@@ -228,7 +228,7 @@ def test_criterion_10_type_two_equivalence():
         holds, failing = type2_char0_verdict(ideal)
         assert not holds and tuple(failing) == degrees
     count = 0
-    for base in enumerate_type2_ideals(5):
+    for base in (form.normalized_ideal for form in enumerate_type2_forms(5)):
         for sigma in ALL_PERMUTATIONS:
             ideal = base.permuted(sigma)
             holds, failing = type2_char0_verdict(ideal)
@@ -241,7 +241,7 @@ def test_criterion_10_type_two_equivalence():
 
 def test_criterion_11_level_type_two_holds():
     count = 0
-    for base in enumerate_type2_ideals(5):
+    for base in (form.normalized_ideal for form in enumerate_type2_forms(5)):
         for sigma in ALL_PERMUTATIONS:
             ideal = base.permuted(sigma)
             form = classify_type2(ideal)
@@ -255,7 +255,7 @@ def test_criterion_11_level_type_two_holds():
 
 def test_criterion_12_positive_characteristic_bounds():
     checked = 0
-    for base in enumerate_type2_ideals(5):
+    for base in (form.normalized_ideal for form in enumerate_type2_forms(5)):
         for sigma in ALL_PERMUTATIONS:
             ideal = base.permuted(sigma)
             holds, _ = type2_char0_verdict(ideal)

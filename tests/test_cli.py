@@ -69,12 +69,18 @@ def test_scan_refuses_caps_that_scan_nothing(flag, value):
 def test_scan_answers_or_refuses_before_it_enumerates(monkeypatch):
     from lefschetz_lab import wlp
 
-    monkeypatch.setattr(wlp, "enumerate_type2_ideals", lambda e: pytest.fail("the enumeration must not start"))
+    monkeypatch.setattr(wlp, "enumerate_type2_forms", lambda e: pytest.fail("the enumeration must not start"))
     # no prime p <= 2 has 2p > 5, the least a+b+c enumerated
     code, out, _ = run_cli(["scan", "--max-exponent", "30", "--prime-cap", "2", "--json"])
     assert code == 0 and json.loads(out)["counterexamples"] == []
-    code, out, err = run_cli(["scan", "--max-exponent", "30", "--prime-cap", "31"])
-    assert code == 1 and out == "" and "MAX_SCAN_IDEALS" in err
+    for cap in ("12", "30"):
+        code, out, err = run_cli(["scan", "--max-exponent", cap, "--prime-cap", "31"])
+        assert code == 1 and out == "" and "MAX_SCAN_IDEALS" in err
+    # cap 11 passes the size check and reaches the enumeration, here an empty one
+    started = []
+    monkeypatch.setattr(wlp, "enumerate_type2_forms", lambda e: started.append(e) or iter(()))
+    code, out, _ = run_cli(["scan", "--max-exponent", "11", "--prime-cap", "37", "--json"])
+    assert code == 0 and json.loads(out)["counterexamples"] == [] and started == [11]
 
 
 @pytest.mark.parametrize("max_exponent", ["2", "3"])

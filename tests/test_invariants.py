@@ -180,9 +180,9 @@ def test_type_two_failure_is_the_opposed_heaviness_configuration():
     # for five-generator normal forms, the characteristic-zero failure at d is
     # exactly: upper portion down-heavy and lower portion up-heavy
     from lefschetz_lab import classify_type2, socle_profile, type2_condition_range
-    from lefschetz_lab.wlp import enumerate_type2_ideals
+    from lefschetz_lab.wlp import enumerate_type2_forms
 
-    for ideal in enumerate_type2_ideals(4):
+    for ideal in (f.normalized_ideal for f in enumerate_type2_forms(4)):
         form = classify_type2(ideal)
         if form.form != 2:
             continue

@@ -38,8 +38,9 @@ from lefschetz_lab.wlp import (
     _scan_range,
     _shape_factors,
     _truncation_form,
+    _twin_key,
     _type2_ideal_count,
-    enumerate_type2_ideals,
+    enumerate_type2_forms,
 )
 from _oracles import (
     PRIMES_TO_31,
@@ -327,7 +328,8 @@ def test_char0_verdicts_section_examples():
 
 
 def test_level_type_two_always_holds():
-    for ideal in enumerate_type2_ideals(4):
+    for form in enumerate_type2_forms(4):
+        ideal = form.normalized_ideal
         if classify_type2(ideal).is_level:
             holds, _ = type2_char0_verdict(ideal)
             assert holds
@@ -398,7 +400,7 @@ def _dropping_primes_agree_with_modular_ranks(ideal) -> int:
 def test_rank_certificate_matches_modular_ranks_on_the_type2_grid():
     # every prime up to 31, including those with 2p <= a+b+c that the scan
     # skips, so real rank drops occur
-    assert sum(_dropping_primes_agree_with_modular_ranks(ideal) for ideal in enumerate_type2_ideals(4))
+    assert sum(_dropping_primes_agree_with_modular_ranks(form.normalized_ideal) for form in enumerate_type2_forms(4))
     # the worked example has bad prime 2, which drops the rank at degree 5
     n_up, n_down, factors = _degree_factors(parse_ideal(EXA), 5)
     assert len(factors) == min(n_up, n_down)
@@ -411,16 +413,17 @@ def test_rank_certificate_matches_modular_ranks_on_random_regions(seed, extra):
     _dropping_primes_agree_with_modular_ranks(random_artinian_ideal(random.Random(seed), 6, extra))
 
 
-def _admitted_degrees(max_exponent: int, prime_cap: int) -> list:
-    """Every (ideal, d) the conjecture scan reads, in its order: the scanned
-    degrees of each ideal with the property in characteristic zero and some
-    prime p <= prime_cap with 2p > a+b+c."""
+def _admitted_shortcut_degrees(max_exponent: int, prime_cap: int) -> list:
+    """Every (ideal, d) the conjecture scan reads when no prime drops a
+    degree, in its order: the shortcut degrees of each enumerated ideal
+    with the property in characteristic zero and some prime p <= prime_cap
+    with 2p > a+b+c, twins included."""
     primes = [p for p in PRIMES_TO_31 if p <= prime_cap]
     return [
         (ideal, d)
-        for ideal in enumerate_type2_ideals(max_exponent)
+        for ideal in (form.normalized_ideal for form in enumerate_type2_forms(max_exponent))
         if type2_char0_verdict(ideal)[0] and any(2 * p > sum(ideal.pure_powers) for p in primes)
-        for d in _scan_range(ideal)
+        for d in peak_shortcut(ideal).degrees
     ]
 
 
@@ -432,9 +435,11 @@ def _shape(ideal, d) -> tuple:
 
 
 def test_conjecture_scan_reduces_each_region_shape_once(monkeypatch):
+    # the scan reads only the shortcut degrees when no prime drops one, and
+    # reduces each of their shapes once
     from lefschetz_lab import wlp
 
-    admitted = _admitted_degrees(3, 13)
+    admitted = _admitted_shortcut_degrees(3, 13)
     shapes = {_shape(ideal, d) for ideal, d in admitted}
     reduced = []
 
@@ -445,16 +450,31 @@ def test_conjecture_scan_reduces_each_region_shape_once(monkeypatch):
     calls = _count_region_reductions(monkeypatch)
     monkeypatch.setattr(wlp, "_shape_factors", spy)
     assert conjecture_scan(3, 13) == []
-    assert (len(admitted), len(shapes)) == (288, 103)
+    assert (len(admitted), len(shapes)) == (91, 43)
     assert len(calls) == len(reduced) == len(set(reduced)) == len(shapes)
     assert set(reduced) == shapes
     # each shape is met once, so no region or factor tuple stays cached
     assert build_region.cache_info().currsize == _degree_factors.cache_info().currsize == 0
 
 
-def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch):
+def test_conjecture_scan_reduces_only_shortcut_degrees(monkeypatch):
+    # with the real primes no class fails at a shortcut degree, so nothing
+    # is rescanned: 191 reductions at cap 4, against 716 at every degree
+    from lefschetz_lab import wlp
+
+    reduced = []
+    monkeypatch.setattr(wlp, "_shape_factors", lambda ideal, d: reduced.append((ideal, d)) or _shape_factors(ideal, d))
+    assert conjecture_scan(4, 31) == []
+    assert len(reduced) == len(set(reduced)) == 191
+    assert all(d in peak_shortcut(ideal).degrees for ideal, d in reduced)
+    every_degree = {region_key(ideal, d, {}) for ideal, _ in _admitted_shortcut_degrees(4, 31) for d in _scan_range(ideal)}
+    assert len(every_degree) == 716
+
+
+def test_conjecture_scan_reads_the_factors_of_every_shortcut_degree(monkeypatch):
     # whatever the scan shares, the factors it tests must be those of each
-    # admitted ideal's own region, degree by degree, twins included
+    # admitted ideal's own region, at each of its shortcut degrees, twins
+    # included
     from lefschetz_lab import wlp
 
     forms: dict = {}
@@ -467,8 +487,8 @@ def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch)
 
     monkeypatch.setattr(wlp, "_shape_factors", spy)
     assert conjecture_scan(4, 31) == []
-    admitted = _admitted_degrees(4, 31)
-    assert len(admitted) == 2474
+    admitted = _admitted_shortcut_degrees(4, 31)
+    assert len(admitted) == 567
     for ideal, d in admitted:
         dense = smith_invariant_factors(biadjacency(build_region(ideal, d)))
         assert recorded[region_key(ideal, d, forms)] == dense, (str(ideal), d)
@@ -477,18 +497,31 @@ def test_conjecture_scan_reads_the_factors_of_every_admitted_degree(monkeypatch)
 @pytest.mark.parametrize("caps", [(3, 13), (4, 7), (4, 31)])
 def test_conjecture_scan_equals_a_per_ideal_scan(monkeypatch, caps):
     # with every prime reported, the lists are long and hold both members
-    # of each pair of twins; answering each class once must not change them
+    # of each pair of twins; answering each class once, from its shortcut
+    # degrees and then from every degree, must not change them
     from lefschetz_lab import wlp
 
     monkeypatch.setattr(wlp, "_dropping_primes", lambda factors: PRIMES_TO_31)
     expected = per_ideal_conjecture_scan(*caps)
-    classified = []
-    monkeypatch.setattr(wlp, "type2_char0_verdict", lambda ideal: classified.append(ideal) or type2_char0_verdict(ideal))
+    classified, walks = [], []
+    class_failures, shape_failures = wlp._class_failures, wlp._shape_failures
+
+    def walk(ideal, degrees, *rest):
+        walks.append((ideal, tuple(degrees)))
+        return shape_failures(ideal, degrees, *rest)
+
+    monkeypatch.setattr(wlp, "_class_failures", lambda form, *rest: classified.append(form) or class_failures(form, *rest))
+    monkeypatch.setattr(wlp, "_shape_failures", walk)
     found = conjecture_scan(*caps)
     assert found == expected
     ideals = {c.ideal for c in found}
     assert len(ideals) > len({_truncation_form(ideal.gens, {}) for ideal in ideals})
-    assert len(classified) == len(set(classified)) == {3: 36, 4: 210}[caps[0]]
+    assert len(classified) == len({_twin_key(form) for form in classified}) == {3: 36, 4: 210}[caps[0]]
+    # each admitted class: its shortcut degrees, then, failing there, every degree
+    admitted = [form.normalized_ideal for form in classified if not type2_condition_range(form)]
+    assert walks == [
+        pair for ideal in admitted for pair in ((ideal, peak_shortcut(ideal).degrees), (ideal, tuple(_scan_range(ideal))))
+    ]
 
 
 def test_conjecture_scan_classifies_only_ideals_a_prime_can_reach(monkeypatch):
@@ -496,21 +529,40 @@ def test_conjecture_scan_classifies_only_ideals_a_prime_can_reach(monkeypatch):
     from lefschetz_lab import wlp
 
     classified = []
-    monkeypatch.setattr(wlp, "type2_char0_verdict", lambda ideal: classified.append(ideal) or type2_char0_verdict(ideal))
+    class_failures = wlp._class_failures
+    monkeypatch.setattr(wlp, "_class_failures", lambda form, *rest: classified.append(form) or class_failures(form, *rest))
     assert conjecture_scan(4, 5) == []
-    assert classified and max(sum(ideal.pure_powers) for ideal in classified) == 9
+    assert classified and max(form.a + form.b + form.c for form in classified) == 9
 
 
 @pytest.mark.parametrize("e, ideals, classes", [(3, 54, 36), (4, 360, 210), (5, 1500, 825)])
 def test_type2_enumeration_count(e, ideals, classes):
     # the count the size check reads, and the classes the scan answers once
     n = e * (e - 1) // 2
-    enumerated = list(enumerate_type2_ideals(e))
+    enumerated = list(enumerate_type2_forms(e))
     assert len(enumerated) == _type2_ideal_count(e) == e * n**2 + n**3 == ideals
+    assert len({_twin_key(form) for form in enumerated}) == classes
+    # each form is what the permutation search finds for its own ideal
+    assert all(classify_type2(form.normalized_ideal) == form for form in enumerated)
+    # cap 11 is the largest the scan answers
+    assert _type2_ideal_count(11) <= MAX_SCAN_IDEALS < _type2_ideal_count(12)
+
+
+@pytest.mark.parametrize("e, classes", [(3, 36), (4, 210), (5, 825), (6, 2520)])
+def test_twin_key_classes_are_the_isomorphism_classes(e, classes):
+    # the key read off the parameters partitions the forms exactly as the
+    # canonical form of all the generators does
     forms: dict = {}
-    assert len({_truncation_form(ideal.gens, forms) for ideal in enumerated}) == classes
-    # cap 9 is the largest the scan answers
-    assert _type2_ideal_count(9) <= MAX_SCAN_IDEALS < _type2_ideal_count(10)
+    pairs = {(_twin_key(form), _truncation_form(form.normalized_ideal.gens, forms)) for form in enumerate_type2_forms(e)}
+    assert len(pairs) == len({key for key, _ in pairs}) == len({canonical for _, canonical in pairs}) == classes
+
+
+def test_every_admitted_type2_class_has_a_peak_shortcut():
+    # the scan reads an admitted class at its shortcut degrees first, and
+    # raises on one without a shortcut
+    admitted = {_twin_key(form): form for form in enumerate_type2_forms(6) if not type2_condition_range(form)}
+    assert len(admitted) == 720 + 1585
+    assert all(peak_shortcut(form.normalized_ideal) is not None for form in admitted.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -538,9 +590,12 @@ def test_conjecture_scan_cross_checks_the_char0_verdict(monkeypatch):
     from lefschetz_lab import wlp
 
     failing = parse_ideal("x^2,y^4,z^4,xy,xz")
-    assert not type2_char0_verdict(failing)[0]
-    monkeypatch.setattr(wlp, "enumerate_type2_ideals", lambda cap: iter([failing]))
-    monkeypatch.setattr(wlp, "type2_char0_verdict", lambda ideal: (True, range(0, 0)))
+    form = classify_type2(failing)
+    assert form.normalized_ideal == failing and list(type2_condition_range(form)) == [3]
+    # its twin-peak shortcut, degree 3, has rank 2 < 3
+    assert peak_shortcut(failing).degrees == (3,)
+    monkeypatch.setattr(wlp, "enumerate_type2_forms", lambda cap: iter([form]))
+    monkeypatch.setattr(wlp, "type2_condition_range", lambda form: range(0, 0))
     with pytest.raises(InternalCheckError, match="rank"):
         conjecture_scan(4, 13)
 
